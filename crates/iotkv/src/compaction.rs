@@ -3,18 +3,31 @@
 //! Two strategies are implemented (selected by
 //! [`crate::Options::compaction`]):
 //!
-//! * **Leveled** — L0 compacts into L1 when it accumulates
-//!   `l0_compaction_trigger` tables; level *n* ≥ 1 compacts its first file
-//!   (plus overlapping L(n+1) files) into L(n+1) when the level's byte size
-//!   exceeds `l1_bytes · multiplier^(n-1)`.
+//! * **Leveled** — L0 is due when it holds `l0_compaction_trigger` tables
+//!   and compacts whole into L1; level *n* ≥ 1 is due when its byte size
+//!   exceeds `l1_bytes · multiplier^(n-1)` and moves **one** file (plus the
+//!   L(n+1) files it overlaps) into L(n+1). Of the due levels the one
+//!   furthest over its trigger goes first, and within a level ≥ 1 the file
+//!   with the fewest overlapping bytes below it per byte of its own.
 //! * **Size-tiered** — when any tier accumulates `l0_compaction_trigger`
 //!   tables, the whole tier merges into a single run placed in the next
 //!   tier. This approximates HBase's minor-compaction behaviour.
 //!
-//! The engine tracks no long-lived snapshots, so a merge keeps only the
-//! newest version of each user key. Tombstones are dropped only when the
-//! output lands on the bottom-most level that can contain the key —
-//! dropping them earlier would resurrect older versions living below.
+//! Pickers are pure functions of a [`Version`]: they keep no cursor and
+//! know nothing about who else is working. Exclusion is the caller's job —
+//! `Db` picks and installs under its maintenance claim, so a picker is
+//! never asked about a version that names files of a job in flight.
+//!
+//! A job that would only copy its one input — nothing overlaps it in the
+//! target level and the merge would drop nothing — is a **trivial move**
+//! ([`CompactionJob::is_trivial_move`]): the caller re-levels the
+//! [`FileMeta`] and touches no table file.
+//!
+//! The merge itself is snapshot-aware: per user key it keeps every version
+//! down to the newest one at or below the oldest registered snapshot and
+//! drops the rest. Tombstones are dropped only when the output lands on
+//! the bottom-most level that can contain the key — dropping them earlier
+//! would resurrect older versions living below.
 
 use crate::iter::{MergeIterator, Source};
 use crate::memtable::InternalKey;
@@ -40,6 +53,20 @@ pub struct CompactionJob {
 }
 
 impl CompactionJob {
+    /// The job for moving `inputs` from `level` one level down in
+    /// `version`: every target-level file their key range touches joins.
+    fn new(version: &Version, level: usize, inputs: Vec<FileMeta>) -> CompactionJob {
+        let (lo, hi) = key_range(&inputs);
+        let target_level = level + 1;
+        CompactionJob {
+            level,
+            target_level,
+            overlaps: version.overlapping(target_level, &lo, &hi),
+            drop_tombstones: is_bottom_most(version, target_level, &lo, &hi),
+            inputs,
+        }
+    }
+
     pub fn input_ids(&self) -> Vec<u64> {
         self.inputs
             .iter()
@@ -54,6 +81,17 @@ impl CompactionJob {
             .chain(&self.overlaps)
             .map(|f| f.size)
             .sum()
+    }
+
+    /// True when merging would reproduce the single input unchanged: it
+    /// meets no file in the target level and holds no tombstone the merge
+    /// would drop. Shadowed versions a merge might also drop stay with the
+    /// file until its next real compaction; they are invisible to reads.
+    pub fn is_trivial_move(&self) -> bool {
+        match self.inputs.as_slice() {
+            [only] => self.overlaps.is_empty() && !(self.drop_tombstones && only.tombstones > 0),
+            _ => false,
+        }
     }
 }
 
@@ -87,64 +125,78 @@ pub fn level_target_bytes(opts: &Options, level: usize) -> u64 {
         .saturating_mul(opts.level_size_multiplier.saturating_pow(level as u32 - 1))
 }
 
-/// Chooses the next leveled compaction, if any is needed.
-pub fn pick_leveled(version: &Version, opts: &Options) -> Option<CompactionJob> {
-    // L0 first: too many files hurt every read.
-    if version.levels[0].len() >= opts.l0_compaction_trigger {
-        let inputs = version.levels[0].clone();
-        let (lo, hi) = key_range(&inputs);
-        let overlaps = version.overlapping(1, &lo, &hi);
-        let drop_tombstones = is_bottom_most(version, 1, &lo, &hi);
-        return Some(CompactionJob {
-            level: 0,
-            target_level: 1,
-            inputs,
-            overlaps,
-            drop_tombstones,
-        });
-    }
-    // Deeper levels by size pressure, shallowest first.
+/// `a.0 / a.1 < b.0 / b.1` without leaving the integers.
+fn ratio_lt(a: (u64, u64), b: (u64, u64)) -> bool {
+    u128::from(a.0) * u128::from(b.1) < u128::from(b.0) * u128::from(a.1)
+}
+
+/// The due level furthest over its trigger (table count over
+/// `l0_compaction_trigger` for L0, bytes over budget below it); ties go
+/// to the shallower level. Ranking by pressure rather than "L0 first"
+/// keeps a sustained ingest from starving L1→L2 while L1 — which every
+/// L0 compaction rewrites whole — grows without bound.
+fn most_pressed_level(version: &Version, opts: &Options) -> Option<usize> {
+    let l0 = version.levels[0].len();
+    let mut best = (l0 >= opts.l0_compaction_trigger)
+        .then(|| (0, (l0 as u64, opts.l0_compaction_trigger.max(1) as u64)));
     for level in 1..version.levels.len() - 1 {
-        if version.level_bytes(level) > level_target_bytes(opts, level) {
-            // Compact the file with the smallest key first (simple, fair
-            // rotation would need persistent state).
-            let inputs = vec![version.levels[level][0].clone()];
-            let (lo, hi) = key_range(&inputs);
-            let overlaps = version.overlapping(level + 1, &lo, &hi);
-            let drop_tombstones = is_bottom_most(version, level + 1, &lo, &hi);
-            return Some(CompactionJob {
-                level,
-                target_level: level + 1,
-                inputs,
-                overlaps,
-                drop_tombstones,
-            });
+        let pressure = (version.level_bytes(level), level_target_bytes(opts, level));
+        let due = pressure.0 > pressure.1;
+        if due && best.is_none_or(|(_, b)| ratio_lt(b, pressure)) {
+            best = Some((level, pressure));
         }
     }
-    None
+    best.map(|(level, _)| level)
+}
+
+/// The file of `level` that is cheapest to move down: fewest overlapping
+/// bytes in `level + 1` per byte of its own; ties go to the smallest key.
+///
+/// The choice needs no compaction cursor or other state carried between
+/// picks: moving a file down makes the level below denser exactly under
+/// its key range, which raises the cost of that range for the next pick
+/// and sends it elsewhere. The rotation over the key space falls out of
+/// the version itself, so a reopened database resumes it for free.
+fn min_overlap_file(version: &Version, level: usize) -> Option<&FileMeta> {
+    let cost = |f: &FileMeta| {
+        let below = version.levels[level + 1]
+            .iter()
+            .filter(|b| b.overlaps(&f.smallest.user_key, &f.largest.user_key))
+            .map(|b| b.size)
+            .sum::<u64>();
+        (below, f.size.max(1))
+    };
+    let mut files = version.levels[level].iter();
+    let mut best = files.next()?;
+    let mut best_cost = cost(best);
+    for f in files {
+        let c = cost(f);
+        if ratio_lt(c, best_cost) {
+            (best, best_cost) = (f, c);
+        }
+    }
+    Some(best)
+}
+
+/// Chooses the next leveled compaction, if any is needed.
+pub fn pick_leveled(version: &Version, opts: &Options) -> Option<CompactionJob> {
+    let level = most_pressed_level(version, opts)?;
+    let inputs = if level == 0 {
+        // L0 tables overlap each other, so they go down together.
+        version.levels[0].clone()
+    } else {
+        vec![min_overlap_file(version, level)?.clone()]
+    };
+    Some(CompactionJob::new(version, level, inputs))
 }
 
 /// Chooses the next size-tiered compaction: the shallowest tier holding at
 /// least `l0_compaction_trigger` runs merges entirely into the next tier.
+/// Merging with the next tier's overlapping runs keeps lookups bounded.
 pub fn pick_tiered(version: &Version, opts: &Options) -> Option<CompactionJob> {
-    for tier in 0..version.levels.len() - 1 {
-        if version.levels[tier].len() >= opts.l0_compaction_trigger {
-            let inputs = version.levels[tier].clone();
-            let (lo, hi) = key_range(&inputs);
-            // Tiered runs overlap freely; merging with the next tier's
-            // overlapping runs keeps lookups bounded.
-            let overlaps = version.overlapping(tier + 1, &lo, &hi);
-            let drop_tombstones = is_bottom_most(version, tier + 1, &lo, &hi);
-            return Some(CompactionJob {
-                level: tier,
-                target_level: tier + 1,
-                inputs,
-                overlaps,
-                drop_tombstones,
-            });
-        }
-    }
-    None
+    (0..version.levels.len() - 1)
+        .find(|&tier| version.levels[tier].len() >= opts.l0_compaction_trigger)
+        .map(|tier| CompactionJob::new(version, tier, version.levels[tier].clone()))
 }
 
 /// Streams a merge of `sources` into one or more output tables in `dir`,
@@ -235,6 +287,7 @@ mod tests {
             id,
             size,
             entry_count: 1,
+            tombstones: 0,
             smallest: ik(lo, u64::MAX),
             largest: ik(hi, 0),
         }
@@ -287,6 +340,103 @@ mod tests {
         assert_eq!(job.target_level, 2);
         assert_eq!(job.inputs[0].id, 5);
         assert_eq!(job.overlaps[0].id, 6);
+    }
+
+    #[test]
+    fn leveled_ranks_due_levels_by_pressure() {
+        let o = opts();
+        let mut v = Version::new(4);
+        for id in 1..=4 {
+            v.levels[0].push(meta(id, "a", "m", 100));
+        }
+        // L0 exactly at its trigger, L1 at twice its budget: L1 goes first.
+        v.levels[1].push(meta(5, "a", "c", level_target_bytes(&o, 1)));
+        v.levels[1].push(meta(6, "d", "f", level_target_bytes(&o, 1)));
+        assert_eq!(pick_leveled(&v, &o).unwrap().level, 1);
+        // L0 at three times its trigger outranks it.
+        for id in 11..=18 {
+            v.levels[0].push(meta(id, "a", "m", 100));
+        }
+        assert_eq!(pick_leveled(&v, &o).unwrap().level, 0);
+        // Equal pressure: the shallower level.
+        v.levels[0].truncate(8);
+        assert_eq!(pick_leveled(&v, &o).unwrap().level, 0);
+    }
+
+    #[test]
+    fn leveled_moves_the_file_with_least_overlap_below() {
+        let o = opts();
+        let unit = level_target_bytes(&o, 1) / 2;
+        let mut v = Version::new(4);
+        v.levels[1].push(meta(1, "a", "f", unit));
+        v.levels[1].push(meta(2, "g", "m", unit));
+        v.levels[1].push(meta(3, "n", "z", unit));
+        // L2 is dense under the low keys, thin in the middle.
+        v.levels[2].push(meta(10, "a", "b", 4 * unit));
+        v.levels[2].push(meta(11, "c", "f", 4 * unit));
+        v.levels[2].push(meta(12, "h", "i", unit / 2));
+        v.levels[2].push(meta(13, "p", "q", 2 * unit));
+        let job = pick_leveled(&v, &o).unwrap();
+        assert_eq!((job.level, job.target_level), (1, 2));
+        assert_eq!(job.input_ids(), vec![2, 12], "not the low-key file");
+        assert!(!job.is_trivial_move());
+
+        // The ratio counts, not the absolute overlap: a file twice the
+        // size may sit on more bytes and still be the cheaper one to move.
+        v.levels[1][2].size = 6 * unit;
+        assert_eq!(pick_leveled(&v, &o).unwrap().inputs[0].id, 3);
+    }
+
+    #[test]
+    fn leveled_overlap_ties_go_to_the_smallest_key() {
+        let o = opts();
+        let size = level_target_bytes(&o, 1);
+        let mut v = Version::new(4);
+        v.levels[1].push(meta(7, "a", "c", size));
+        v.levels[1].push(meta(5, "d", "f", size));
+        v.levels[1].push(meta(6, "g", "i", size));
+        // Nothing below any of them, then the same amount below each.
+        assert_eq!(pick_leveled(&v, &o).unwrap().inputs[0].id, 7);
+        v.levels[2].push(meta(20, "b", "b", 10));
+        v.levels[2].push(meta(21, "e", "e", 10));
+        v.levels[2].push(meta(22, "h", "h", 10));
+        assert_eq!(pick_leveled(&v, &o).unwrap().inputs[0].id, 7);
+    }
+
+    #[test]
+    fn trivial_move_needs_an_empty_landing_and_nothing_to_drop() {
+        let o = opts();
+        let size = level_target_bytes(&o, 1) + 1;
+        let mut v = Version::new(4);
+        v.levels[1].push(meta(1, "d", "f", size));
+        v.levels[2].push(meta(2, "a", "c", 10));
+        v.levels[2].push(meta(3, "g", "k", 10));
+        let job = pick_leveled(&v, &o).unwrap();
+        assert!(job.overlaps.is_empty() && job.drop_tombstones);
+        assert!(job.is_trivial_move(), "lands between its L2 neighbours");
+
+        // Bottom-most output and the file holds tombstones: a merge would
+        // drop them, so it must run.
+        v.levels[1][0].tombstones = 3;
+        assert!(!pick_leveled(&v, &o).unwrap().is_trivial_move());
+        // Data below keeps the tombstones alive either way: move again.
+        v.levels[3].push(meta(4, "e", "e", 10));
+        let job = pick_leveled(&v, &o).unwrap();
+        assert!(!job.drop_tombstones && job.is_trivial_move());
+
+        // Anything in the landing zone means a real merge.
+        v.levels[2].push(meta(5, "f", "f", 10));
+        let job = pick_leveled(&v, &o).unwrap();
+        assert_eq!(job.overlaps.len(), 1);
+        assert!(!job.is_trivial_move());
+
+        // Several inputs never move trivially, overlap or not.
+        let mut v = Version::new(4);
+        for id in 1..=4 {
+            v.levels[0].push(meta(id, "a", "m", 100));
+        }
+        let job = pick_leveled(&v, &o).unwrap();
+        assert!(job.overlaps.is_empty() && !job.is_trivial_move());
     }
 
     #[test]

@@ -13,11 +13,30 @@
 //! * Reads are lock-light: they load the visible sequence number, snapshot
 //!   `Arc`s of the memtables and the current version, and proceed without
 //!   blocking writers.
-//! * Flush and compaction run either on a **background thread**
-//!   (`Options::background_compaction`) or inline on the commit thread
-//!   (deterministic mode for tests).
+//! * Flush and compaction are scheduled by one function,
+//!   `DbInner::maintenance_step`: flush *every* frozen memtable, then
+//!   pick and run *at most one* compaction. Everyone who wants maintenance
+//!   done calls it until it reports nothing left — the **background
+//!   thread** (`Options::background_compaction`), the commit thread itself
+//!   in the inline mode (deterministic, for tests), [`Db::flush`] and
+//!   [`Db::compact`]. Flushing first means a chain of compactions never
+//!   sits between a full memtable and the disk; when compaction is the
+//!   bottleneck L0 therefore grows towards `l0_stall_trigger`, and the
+//!   next L0→L1 job spreads its rewrite of L1 over that many more tables.
+//! * A step runs under the **maintenance claim** (`DbInner::maint`), held
+//!   from before the pick until the new version is installed. One job at a
+//!   time per `Db`: a frozen memtable or a table file is never handed to
+//!   two workers, so no flush or compaction can be installed twice.
+//! * The commit thread **stalls** after a rotation while L0 is at
+//!   `l0_stall_trigger` or `MAX_FROZEN` memtables wait; it sleeps on
+//!   `bg_cv` and every version install wakes it. `DbStats::stalls` is the
+//!   time spent there, in whole milliseconds.
 //! * Scans register a snapshot sequence number; compaction never discards
 //!   a version some registered snapshot still needs.
+//!
+//! Lock order, outermost first: `maint` → `bg_mutex` → `imm` / `vset` /
+//! `snapshots` / `bg_error` (the last four are leaves: none is held while
+//! taking another lock).
 
 use crate::batch::WriteBatch;
 use crate::cache::BlockCache;
@@ -32,15 +51,27 @@ use crate::wal::{LogReader, LogWriter};
 use crate::{CompactionStyle, Error, Options, Result, SeqNo, SyncMode};
 use bytes::Bytes;
 use crossbeam::channel::{bounded, Receiver, Sender};
-use parking_lot::{Condvar, Mutex, RwLock};
+use parking_lot::{Condvar, Mutex, MutexGuard, RwLock};
 use simkit::sync::{AtomicBool, AtomicU64, Ordering};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
 /// Maximum batches merged into one commit group.
 const MAX_GROUP: usize = 128;
+
+/// Frozen memtables allowed to wait for a flush before writes stall.
+const MAX_FROZEN: usize = 4;
+
+/// Longest a thread sleeps on `bg_cv` before it looks again. Every state
+/// change it waits for is announced through `DbInner::wake`; the bound
+/// only keeps a missed announcement from becoming a hang.
+const BG_RECHECK: Duration = Duration::from_millis(20);
+
+/// Proof that the caller holds the maintenance claim.
+type Claim<'a> = MutexGuard<'a, ()>;
 
 enum CommitMsg {
     Write {
@@ -81,7 +112,7 @@ struct Counters {
     wal_syncs: AtomicU64,
     commit_groups: AtomicU64,
     commit_batches: AtomicU64,
-    stalls: AtomicU64,
+    stall_nanos: AtomicU64,
 }
 
 /// A point-in-time snapshot of engine statistics.
@@ -98,6 +129,8 @@ pub struct DbStats {
     pub wal_syncs: u64,
     pub commit_groups: u64,
     pub commit_batches: u64,
+    /// Time the commit thread spent stalled on maintenance, in whole
+    /// milliseconds.
     pub stalls: u64,
     pub cache_hits: u64,
     pub cache_misses: u64,
@@ -142,6 +175,11 @@ struct DbInner {
     snapshots: Mutex<BTreeMap<SeqNo, usize>>,
     counters: Counters,
     closed: AtomicBool,
+    /// The maintenance claim: whoever holds it is the only one flushing
+    /// or compacting this database.
+    maint: Mutex<()>,
+    /// `bg_cv` announces both "a memtable was frozen" and "a version was
+    /// installed"; waiters re-check their own condition under `bg_mutex`.
     bg_mutex: Mutex<()>,
     bg_cv: Condvar,
     bg_error: Mutex<Option<Error>>,
@@ -202,8 +240,46 @@ impl DbInner {
         )
     }
 
+    fn is_closed(&self) -> bool {
+        // ordering: Acquire — pairs with close()'s Release store.
+        self.closed.load(Ordering::Acquire)
+    }
+
+    /// Wakes everyone sleeping on `bg_cv`. Called after the state they
+    /// wait on has changed; taking `bg_mutex` first means a waiter that has
+    /// just checked its condition is already asleep, not about to be.
+    fn wake(&self) {
+        let _guard = self.bg_mutex.lock();
+        self.bg_cv.notify_all();
+    }
+
+    /// The one maintenance schedule: flush every frozen memtable, then run
+    /// at most one compaction. Returns whether it did anything; callers
+    /// loop until it did not.
+    fn maintenance_step(&self) -> Result<bool> {
+        let claim = self.maint.lock();
+        self.step_claimed(&claim)
+    }
+
+    fn step_claimed(&self, claim: &Claim<'_>) -> Result<bool> {
+        let mut worked = false;
+        while self.flush_one_imm(claim)? {
+            worked = true;
+        }
+        if let Some(job) = self.pick_compaction(claim) {
+            self.run_compaction(claim, &job)?;
+            worked = true;
+        }
+        Ok(worked)
+    }
+
+    fn maintain_until_quiet(&self) -> Result<()> {
+        while self.maintenance_step()? {}
+        Ok(())
+    }
+
     /// Flushes the oldest immutable memtable to an L0 table.
-    fn flush_one_imm(&self) -> Result<bool> {
+    fn flush_one_imm(&self, _claim: &Claim<'_>) -> Result<bool> {
         let front = {
             let imm = self.imm.lock();
             match imm.front() {
@@ -233,16 +309,7 @@ impl DbInner {
             self.counters
                 .bytes_flushed
                 .fetch_add(meta.file_size, Ordering::Relaxed);
-            added.push((
-                0usize,
-                FileMeta {
-                    id: *id,
-                    size: meta.file_size,
-                    entry_count: meta.entry_count,
-                    smallest: meta.smallest.clone(),
-                    largest: meta.largest.clone(),
-                },
-            ));
+            added.push((0usize, FileMeta::from_table(*id, meta)));
             let table = Table::open(&table_path(&self.dir, *id), *id, Arc::clone(&self.cache))?;
             Arc::make_mut(&mut vset.tables).insert(*id, Arc::new(table));
         }
@@ -252,13 +319,10 @@ impl DbInner {
         let log_number = vset.log_number;
         drop(vset);
 
-        // The data is durable in the table; retire the memtable and its WAL.
-        {
-            let mut imm = self.imm.lock();
-            if imm.front().map(|f| f.wal_id) == Some(front.wal_id) {
-                imm.pop_front();
-            }
-        }
+        // The data is durable in the table; retire the memtable and its
+        // WAL. Only a claim holder pops, so the front is still ours.
+        self.imm.lock().pop_front();
+        self.wake();
         self.delete_stale_wals(log_number);
         // ordering: Relaxed — statistics counter.
         self.counters.flushes.fetch_add(1, Ordering::Relaxed);
@@ -281,31 +345,56 @@ impl DbInner {
         }
     }
 
-    /// Runs compactions until the tree satisfies its invariants.
-    fn compact_until_quiet(&self) -> Result<()> {
-        loop {
-            let job = {
-                let vset = self.vset.lock();
-                match self.opts.compaction {
-                    CompactionStyle::Leveled => pick_leveled(&vset.version, &self.opts),
-                    CompactionStyle::SizeTiered => pick_tiered(&vset.version, &self.opts),
-                }
-            };
-            let Some(job) = job else { return Ok(()) };
-            self.run_compaction(&job)?;
+    /// The compaction the current version calls for, picked outside the
+    /// `vset` lock that every read takes.
+    fn pick(&self) -> Option<CompactionJob> {
+        let version = Arc::clone(&self.vset.lock().version);
+        match self.opts.compaction {
+            CompactionStyle::Leveled => pick_leveled(&version, &self.opts),
+            CompactionStyle::SizeTiered => pick_tiered(&version, &self.opts),
         }
     }
 
-    fn run_compaction(&self, job: &CompactionJob) -> Result<()> {
+    /// The next compaction to run. The claim is what makes the answer safe
+    /// to act on: nobody else can be working on these files.
+    fn pick_compaction(&self, _claim: &Claim<'_>) -> Option<CompactionJob> {
+        self.pick()
+    }
+
+    fn run_compaction(&self, _claim: &Claim<'_>, job: &CompactionJob) -> Result<()> {
+        if job.is_trivial_move() {
+            self.install_move(job)?;
+        } else {
+            self.merge_and_install(job)?;
+        }
+        self.wake();
+        // ordering: Relaxed — statistics counter.
+        self.counters.compactions.fetch_add(1, Ordering::Relaxed);
+        Ok(())
+    }
+
+    /// A trivial move: the one input changes level in the manifest, its
+    /// table file and open handle stay as they are.
+    fn install_move(&self, job: &CompactionJob) -> Result<()> {
+        let moved = job.inputs[0].clone();
+        let mut vset = self.vset.lock();
+        vset.version = Arc::new(
+            vset.version
+                .apply(&[moved.id], &[(job.target_level, moved)]),
+        );
+        self.persist(&vset)
+    }
+
+    fn merge_and_install(&self, job: &CompactionJob) -> Result<()> {
         let sources: Vec<Source> = {
             let vset = self.vset.lock();
             job.inputs
                 .iter()
                 .chain(&job.overlaps)
                 .map(|f| {
-                    // Every file named by a compaction job is pinned in the
-                    // version set until the job completes; a missing table is
-                    // state corruption worth crashing on.
+                    // The claim pins every file a job names until the job
+                    // installs; a missing table is state corruption worth
+                    // crashing on.
                     let table = vset
                         .tables
                         .get(&f.id)
@@ -334,16 +423,7 @@ impl DbInner {
         let mut vset = self.vset.lock();
         let mut added = Vec::new();
         for (id, meta) in &outputs {
-            added.push((
-                job.target_level,
-                FileMeta {
-                    id: *id,
-                    size: meta.file_size,
-                    entry_count: meta.entry_count,
-                    smallest: meta.smallest.clone(),
-                    largest: meta.largest.clone(),
-                },
-            ));
+            added.push((job.target_level, FileMeta::from_table(*id, meta)));
             let table = Table::open(&table_path(&self.dir, *id), *id, Arc::clone(&self.cache))?;
             Arc::make_mut(&mut vset.tables).insert(*id, Arc::new(table));
         }
@@ -358,19 +438,35 @@ impl DbInner {
             self.cache.erase_table(*id);
             std::fs::remove_file(table_path(&self.dir, *id)).ok();
         }
-        // ordering: Relaxed — statistics counter.
-        self.counters.compactions.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
 
+    /// Whether a step would find work. Advisory: no claim is held, so the
+    /// answer can be stale by the time the caller acts on it.
     fn maintenance_pending(&self) -> bool {
-        if !self.imm.lock().is_empty() {
-            return true;
+        !self.imm.lock().is_empty() || self.pick().is_some()
+    }
+
+    fn write_stalled(&self) -> bool {
+        self.vset.lock().version.levels[0].len() >= self.opts.l0_stall_trigger
+            || self.imm.lock().len() >= MAX_FROZEN
+    }
+
+    /// Holds the commit thread while maintenance is too far behind, and
+    /// charges the wait to `stall_nanos`. Gives up when the database is
+    /// closing or maintenance has failed — nobody would end the stall.
+    fn stall_while_backed_up(&self) {
+        let mut guard = self.bg_mutex.lock();
+        let mut since: Option<Instant> = None;
+        while self.write_stalled() && !self.is_closed() && self.check_bg_error().is_ok() {
+            since.get_or_insert_with(Instant::now);
+            self.bg_cv.wait_for(&mut guard, BG_RECHECK);
         }
-        let vset = self.vset.lock();
-        match self.opts.compaction {
-            CompactionStyle::Leveled => pick_leveled(&vset.version, &self.opts).is_some(),
-            CompactionStyle::SizeTiered => pick_tiered(&vset.version, &self.opts).is_some(),
+        if let Some(since) = since {
+            // ordering: Relaxed — statistics counter.
+            self.counters
+                .stall_nanos
+                .fetch_add(since.elapsed().as_nanos() as u64, Ordering::Relaxed);
         }
     }
 }
@@ -473,6 +569,7 @@ impl Db {
             snapshots: Mutex::new(BTreeMap::new()),
             counters: Counters::default(),
             closed: AtomicBool::new(false),
+            maint: Mutex::new(()),
             bg_mutex: Mutex::new(()),
             bg_cv: Condvar::new(),
             bg_error: Mutex::new(None),
@@ -690,15 +787,12 @@ impl Db {
             .send(CommitMsg::Flush { reply: reply_tx })
             .map_err(|_| Error::Closed)?;
         reply_rx.recv().map_err(|_| Error::Closed)??;
-        // Drain any frozen memtables from this thread.
-        while self.inner.flush_one_imm()? {}
-        self.inner.compact_until_quiet()?;
-        Ok(())
+        self.inner.maintain_until_quiet()
     }
 
-    /// Runs compactions until the tree is quiescent.
+    /// Runs maintenance until the tree is quiescent.
     pub fn compact(&self) -> Result<()> {
-        self.inner.compact_until_quiet()
+        self.inner.maintain_until_quiet()
     }
 
     /// Point-in-time statistics snapshot.
@@ -723,7 +817,7 @@ impl Db {
             wal_syncs: c.wal_syncs.load(Ordering::Relaxed),
             commit_groups: c.commit_groups.load(Ordering::Relaxed),
             commit_batches: c.commit_batches.load(Ordering::Relaxed),
-            stalls: c.stalls.load(Ordering::Relaxed),
+            stalls: c.stall_nanos.load(Ordering::Relaxed) / 1_000_000,
             cache_hits: self.inner.cache.hit_count(),
             cache_misses: self.inner.cache.miss_count(),
             table_count: vset.version.table_count(),
@@ -808,10 +902,13 @@ impl Drop for Db {
         // the write/flush paths and worker loops observe it and stand down.
         self.inner.closed.store(true, Ordering::Release);
         let _ = self.commit_tx.send(CommitMsg::Shutdown);
+        // A stalled commit thread sleeps on `bg_cv`; it must see `closed`
+        // before the join below can return.
+        self.inner.wake();
         if let Some(h) = self.commit_handle.lock().take() {
             let _ = h.join();
         }
-        self.inner.bg_cv.notify_all();
+        self.inner.wake();
         if let Some(h) = self.bg_handle.lock().take() {
             let _ = h.join();
         }
@@ -942,30 +1039,11 @@ fn commit_loop(
                 *inner.bg_error.lock() = Some(e.clone());
             }
             if inner.opts.background_compaction {
-                inner.bg_cv.notify_all();
-                // Write stall: L0 backed up beyond the stall trigger.
-                loop {
-                    let l0 = inner.vset.lock().version.levels[0].len();
-                    let imm_backlog = inner.imm.lock().len();
-                    if l0 < inner.opts.l0_stall_trigger && imm_backlog < 4 {
-                        break;
-                    }
-                    // ordering: Acquire — pairs with close()'s Release store.
-                    if inner.closed.load(Ordering::Acquire) {
-                        break;
-                    }
-                    // ordering: Relaxed — statistics counter.
-                    inner.counters.stalls.fetch_add(1, Ordering::Relaxed);
-                    std::thread::sleep(std::time::Duration::from_millis(1));
-                }
-            } else {
-                // Deterministic inline maintenance.
-                let r = inner
-                    .flush_one_imm()
-                    .and_then(|_| inner.compact_until_quiet());
-                if let Err(e) = r {
-                    *inner.bg_error.lock() = Some(e.clone());
-                }
+                inner.wake();
+                inner.stall_while_backed_up();
+            } else if let Err(e) = inner.maintain_until_quiet() {
+                // Deterministic mode: maintenance runs here, inline.
+                *inner.bg_error.lock() = Some(e);
             }
         }
         for reply in &flush_replies {
@@ -999,32 +1077,30 @@ fn rotate_memtable(inner: &Arc<DbInner>, wal: &mut LogWriter, wal_id: &mut u64) 
     Ok(())
 }
 
-/// The background maintenance thread: flushes frozen memtables and runs
-/// compactions until the database closes.
+/// The background maintenance thread: runs steps while there is work,
+/// sleeps on `bg_cv` when there is none, and leaves once the database is
+/// closed and quiet.
 fn background_loop(inner: Arc<DbInner>) {
     loop {
-        {
-            let mut guard = inner.bg_mutex.lock();
-            if !inner.maintenance_pending() {
-                // ordering: Acquire — pairs with close()'s Release store.
-                if inner.closed.load(Ordering::Acquire) {
+        match inner.maintenance_step() {
+            Ok(true) => {}
+            Ok(false) => {
+                let mut guard = inner.bg_mutex.lock();
+                // Checked under `bg_mutex`, so a rotation that happened
+                // since the step looked cannot slip past the wait.
+                if inner.maintenance_pending() {
+                    continue;
+                }
+                if inner.is_closed() {
                     return;
                 }
-                inner
-                    .bg_cv
-                    .wait_for(&mut guard, std::time::Duration::from_millis(20));
+                inner.bg_cv.wait_for(&mut guard, BG_RECHECK);
             }
-        }
-        // ordering: Acquire — pairs with close()'s Release store.
-        if inner.closed.load(Ordering::Acquire) && !inner.maintenance_pending() {
-            return;
-        }
-        let result = inner
-            .flush_one_imm()
-            .and_then(|_| inner.compact_until_quiet());
-        if let Err(e) = result {
-            *inner.bg_error.lock() = Some(e);
-            return;
+            Err(e) => {
+                *inner.bg_error.lock() = Some(e);
+                inner.wake();
+                return;
+            }
         }
     }
 }
@@ -1305,6 +1381,242 @@ mod tests {
         let stats = db.stats();
         assert!(stats.flushes > 0);
         drop(db);
+        std::fs::remove_dir_all(dir).ok();
+    }
+
+    fn bg_opts() -> Options {
+        Options {
+            background_compaction: true,
+            ..Options::small()
+        }
+    }
+
+    fn numbered_key(i: usize) -> Vec<u8> {
+        format!("key-{i:06}").into_bytes()
+    }
+
+    /// Writes fresh keys from `*next` on until `frozen` memtables wait, for
+    /// tests that hold the claim (nothing is flushed meanwhile). A put is
+    /// acknowledged before the rotation it causes, and the commit thread
+    /// may stall right after rotating, so the helper waits each rotation
+    /// out instead of sending a put that might never be answered.
+    fn fill_until_frozen(db: &Db, next: &mut usize, frozen: usize) {
+        let inner = &db.inner;
+        while inner.imm.lock().len() < frozen {
+            let mem = Arc::clone(&inner.mem.read());
+            let waiting = inner.imm.lock().len();
+            db.put(&numbered_key(*next), &[7u8; 64]).unwrap();
+            *next += 1;
+            if mem.approximate_bytes() >= inner.opts.memtable_bytes {
+                while inner.imm.lock().len() == waiting {
+                    std::thread::yield_now();
+                }
+            }
+        }
+    }
+
+    /// Every key in `0..keys` is stored exactly once: by the tables'
+    /// entry counts, by the shape of the deep levels and by a full scan.
+    fn assert_each_key_once(db: &Db, keys: usize) {
+        let version = Arc::clone(&db.inner.vset.lock().version);
+        let stored: u64 = version.levels.iter().flatten().map(|f| f.entry_count).sum();
+        assert_eq!(
+            stored,
+            keys as u64,
+            "entries in tables: {}",
+            version.shape()
+        );
+        for level in version.levels.iter().skip(1) {
+            for pair in level.windows(2) {
+                assert!(
+                    pair[0].largest < pair[1].smallest,
+                    "files {} and {} of one level overlap",
+                    pair[0].id,
+                    pair[1].id
+                );
+            }
+        }
+        let mut scanned = 0;
+        let mut prev: Option<Bytes> = None;
+        for row in db.scan_iter(b"key-", b"key-~") {
+            let (k, _) = row.unwrap();
+            assert!(prev.as_ref().is_none_or(|p| *p < k), "key {k:?} repeated");
+            prev = Some(k);
+            scanned += 1;
+        }
+        assert_eq!(scanned, keys);
+    }
+
+    #[test]
+    fn step_flushes_every_memtable_before_it_compacts() {
+        let dir = tmpdir("stepfirst");
+        let mut opts = bg_opts();
+        opts.l0_compaction_trigger = 2;
+        let db = Db::open(&dir, opts).unwrap();
+        let inner = Arc::clone(&db.inner);
+        // Holding the claim keeps the background thread's hands off.
+        let claim = inner.maint.lock();
+        let mut next = 0;
+
+        fill_until_frozen(&db, &mut next, 2);
+        while inner.flush_one_imm(&claim).unwrap() {}
+        let l0_before = db.stats().level_shape[0];
+        assert!(l0_before >= 2 && inner.pick_compaction(&claim).is_some());
+        fill_until_frozen(&db, &mut next, 1);
+        let frozen = inner.imm.lock().len() as u64;
+        let flushed_before = db.stats().flushes;
+
+        // Both are pending. Had the compaction gone first, the tables
+        // flushed after it would still sit in L0.
+        assert!(inner.step_claimed(&claim).unwrap());
+        let stats = db.stats();
+        assert_eq!(stats.flushes, flushed_before + frozen);
+        assert_eq!(stats.compactions, 1, "at most one compaction per step");
+        assert_eq!(stats.level_shape[0], 0, "the fresh tables went down too");
+        assert!(inner.imm.lock().is_empty());
+
+        drop(claim);
+        db.flush().unwrap();
+        assert_each_key_once(&db, next);
+        drop(db);
+        std::fs::remove_dir_all(dir).ok();
+    }
+
+    #[test]
+    fn claimed_job_is_not_picked_a_second_time() {
+        let dir = tmpdir("claimed");
+        let mut opts = bg_opts();
+        opts.l0_compaction_trigger = 2;
+        let db = Db::open(&dir, opts).unwrap();
+        let inner = Arc::clone(&db.inner);
+        let claim = inner.maint.lock();
+        let mut next = 0;
+        fill_until_frozen(&db, &mut next, 2);
+        while inner.flush_one_imm(&claim).unwrap() {}
+
+        // One worker has picked the L0→L1 job; a second one (and the
+        // background thread, woken by the rotations) asks for work before
+        // the first has installed its result.
+        let job = inner.pick_compaction(&claim).unwrap();
+        assert_eq!(job.level, 0);
+        let second = {
+            let inner = Arc::clone(&inner);
+            std::thread::spawn(move || inner.maintenance_step())
+        };
+        inner.run_compaction(&claim, &job).unwrap();
+        drop(claim);
+        second.join().unwrap().unwrap();
+
+        db.flush().unwrap();
+        assert_eq!(db.stats().compactions, 1, "the job ran once");
+        assert_each_key_once(&db, next);
+        drop(db);
+        std::fs::remove_dir_all(dir).ok();
+    }
+
+    #[test]
+    fn flush_racing_background_maintenance_stores_each_key_once() {
+        let dir = tmpdir("dupmaint");
+        let db = Arc::new(Db::open(&dir, bg_opts()).unwrap());
+        // ~100 bytes an entry against a 16 KiB memtable: some 50 rotations.
+        const PER_WRITER: usize = 4000;
+        let writers: Vec<_> = (0..2)
+            .map(|w| {
+                let db = Arc::clone(&db);
+                std::thread::spawn(move || {
+                    for i in 0..PER_WRITER {
+                        db.put(&numbered_key(w * PER_WRITER + i), &[7u8; 64])
+                            .unwrap();
+                    }
+                })
+            })
+            .collect();
+        let flusher = {
+            let db = Arc::clone(&db);
+            std::thread::spawn(move || {
+                while db.stats().puts < 2 * PER_WRITER as u64 {
+                    db.flush().unwrap();
+                }
+            })
+        };
+        for t in writers {
+            t.join().unwrap();
+        }
+        flusher.join().unwrap();
+        db.flush().unwrap();
+        assert!(db.stats().flushes >= 6);
+        assert_each_key_once(&db, 2 * PER_WRITER);
+        drop(db);
+        std::fs::remove_dir_all(dir).ok();
+    }
+
+    #[test]
+    fn stall_time_is_reported_in_milliseconds() {
+        let dir = tmpdir("stallms");
+        let db = Db::open(&dir, bg_opts()).unwrap();
+        let inner = Arc::clone(&db.inner);
+        let claim = inner.maint.lock();
+        let mut next = 0;
+        // With maintenance held up the queue of frozen memtables fills, and
+        // the rotation that fills it stalls the commit thread.
+        fill_until_frozen(&db, &mut next, MAX_FROZEN);
+        let held = Instant::now();
+        std::thread::sleep(Duration::from_millis(30));
+        assert!(inner.write_stalled());
+        drop(claim);
+        // Served only once a flush has ended the stall.
+        db.put(b"key-after", b"v").unwrap();
+        let longest = held.elapsed().as_millis() as u64 + 5;
+        let stalled = db.stats().stalls;
+        assert!(
+            (25..=longest).contains(&stalled),
+            "{stalled} ms reported for a stall of 30 to {longest} ms"
+        );
+        drop(db);
+        std::fs::remove_dir_all(dir).ok();
+    }
+
+    #[test]
+    fn drop_releases_a_stalled_commit_thread() {
+        let dir = tmpdir("dropstall");
+        let opts = bg_opts();
+        let stall_at = opts.l0_stall_trigger;
+        let db = Db::open(&dir, opts).unwrap();
+        let inner = Arc::clone(&db.inner);
+        let claim = inner.maint.lock();
+        let mut next = 0;
+        // Flush by hand, never compact: L0 climbs to the stall trigger.
+        while db.stats().level_shape[0] < stall_at {
+            fill_until_frozen(&db, &mut next, 1);
+            while inner.flush_one_imm(&claim).unwrap() {}
+        }
+        // One more rotation and the commit thread stalls; with the claim
+        // in our hand no maintenance can end that stall.
+        fill_until_frozen(&db, &mut next, 1);
+
+        // Handles on the engine: `db`, ours, the commit thread's and the
+        // background thread's. The commit thread's goes when it exits.
+        assert_eq!(Arc::strong_count(&inner), 4);
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let dropper = std::thread::spawn(move || {
+            drop(db);
+            done_tx.send(()).unwrap();
+        });
+        let deadline = Instant::now() + Duration::from_secs(20);
+        while Arc::strong_count(&inner) > 3 {
+            assert!(
+                Instant::now() < deadline,
+                "Drop did not get the stalled commit thread to exit"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(inner.vset.lock().version.levels[0].len(), stall_at);
+        // The background thread drains before it leaves; let it.
+        drop(claim);
+        done_rx
+            .recv_timeout(Duration::from_secs(20))
+            .expect("Drop finished");
+        dropper.join().unwrap();
         std::fs::remove_dir_all(dir).ok();
     }
 

@@ -5,7 +5,7 @@ use crate::memtable::InternalKey;
 use crate::sstable::block::{BlockBuilder, IndexBuilder};
 use crate::sstable::bloom::BloomBuilder;
 use crate::sstable::{BlockHandle, TABLE_MAGIC};
-use crate::{Error, Result};
+use crate::{Error, Result, ValueKind};
 use std::fs::File;
 use std::io::{BufWriter, Write};
 use std::path::Path;
@@ -16,6 +16,8 @@ pub struct TableMeta {
     pub smallest: InternalKey,
     pub largest: InternalKey,
     pub entry_count: u64,
+    /// How many of the entries are deletion tombstones.
+    pub tombstones: u64,
     pub file_size: u64,
 }
 
@@ -35,6 +37,7 @@ pub struct TableBuilder {
     smallest: Option<InternalKey>,
     last: Option<InternalKey>,
     entry_count: u64,
+    tombstones: u64,
 }
 
 impl TableBuilder {
@@ -51,6 +54,7 @@ impl TableBuilder {
             smallest: None,
             last: None,
             entry_count: 0,
+            tombstones: 0,
         })
     }
 
@@ -83,6 +87,7 @@ impl TableBuilder {
         self.block.add(ik, value);
         self.last = Some(ik.clone());
         self.entry_count += 1;
+        self.tombstones += u64::from(ik.kind == ValueKind::Delete);
         if self.block.byte_size() >= self.block_bytes {
             self.flush_block()?;
         }
@@ -156,6 +161,7 @@ impl TableBuilder {
             smallest: self.smallest.expect("non-empty table"),
             largest: self.last.expect("non-empty table"), // lint:allow(unwrap)
             entry_count: self.entry_count,
+            tombstones: self.tombstones,
             file_size: self.offset,
         })
     }

@@ -11,6 +11,7 @@
 use crate::checksum::{crc32c, mask, unmask};
 use crate::encoding::{get_len_prefixed, get_u32, get_u64, put_len_prefixed, put_u32, put_u64};
 use crate::memtable::InternalKey;
+use crate::sstable::builder::TableMeta;
 use crate::{Error, Result, SeqNo, ValueKind};
 use bytes::Bytes;
 use std::fs;
@@ -23,11 +24,25 @@ pub struct FileMeta {
     pub id: u64,
     pub size: u64,
     pub entry_count: u64,
+    /// How many of the entries are deletion tombstones.
+    pub tombstones: u64,
     pub smallest: InternalKey,
     pub largest: InternalKey,
 }
 
 impl FileMeta {
+    /// The manifest entry of a table the builder just finished.
+    pub fn from_table(id: u64, table: &TableMeta) -> FileMeta {
+        FileMeta {
+            id,
+            size: table.file_size,
+            entry_count: table.entry_count,
+            tombstones: table.tombstones,
+            smallest: table.smallest.clone(),
+            largest: table.largest.clone(),
+        }
+    }
+
     /// True if this table's user-key range intersects `[start, end]`
     /// (inclusive bounds).
     pub fn overlaps(&self, start: &[u8], end: &[u8]) -> bool {
@@ -79,6 +94,13 @@ impl Version {
         next.levels[0].sort_by_key(|f| f.id);
         for level in next.levels.iter_mut().skip(1) {
             level.sort_by(|a, b| a.smallest.cmp(&b.smallest));
+            // Point reads binary-search a deep level and scans merge it as
+            // one run. Two installs of the same job (or a picker that left
+            // an overlapping file behind) would break both silently.
+            debug_assert!(
+                level.windows(2).all(|w| w[0].largest < w[1].smallest),
+                "level >= 1 must stay a sorted, non-overlapping run: {level:?}"
+            );
         }
         next
     }
@@ -146,6 +168,7 @@ pub fn save_manifest(dir: &Path, state: &ManifestState) -> Result<()> {
             put_u64(&mut payload, f.id);
             put_u64(&mut payload, f.size);
             put_u64(&mut payload, f.entry_count);
+            put_u64(&mut payload, f.tombstones);
             put_internal_key(&mut payload, &f.smallest);
             put_internal_key(&mut payload, &f.largest);
         }
@@ -202,12 +225,14 @@ pub fn load_manifest(dir: &Path) -> Result<Option<ManifestState>> {
             let id = get_u64(&mut s)?;
             let size = get_u64(&mut s)?;
             let entry_count = get_u64(&mut s)?;
+            let tombstones = get_u64(&mut s)?;
             let smallest = get_internal_key(&mut s)?;
             let largest = get_internal_key(&mut s)?;
             level.push(FileMeta {
                 id,
                 size,
                 entry_count,
+                tombstones,
                 smallest,
                 largest,
             });
@@ -234,6 +259,7 @@ mod tests {
             id,
             size: 1000 + id,
             entry_count: 10 * id,
+            tombstones: id,
             smallest: ik(lo, 100),
             largest: ik(hi, 1),
         }
@@ -302,6 +328,7 @@ mod tests {
         assert_eq!(loaded.log_number, 7);
         assert_eq!(loaded.version.shape(), "1 0 1 0");
         assert_eq!(loaded.version.levels[0][0].id, 1);
+        assert_eq!(loaded.version.levels[2][0].tombstones, 2);
         assert_eq!(loaded.version.levels[2][0].smallest, ik("b", 100));
         fs::remove_dir_all(dir).ok();
     }

@@ -1,6 +1,7 @@
 //! Property-based tests of the storage engine: random operation
 //! sequences against a BTreeMap oracle, through flush, compaction, and
-//! reopen.
+//! reopen — with maintenance inline on the commit thread and on the
+//! background thread, where `flush()` and reopen race it.
 
 use iotkv::{Db, Options, WriteBatch};
 use proptest::prelude::*;
@@ -39,20 +40,25 @@ fn value(k: u16, v: u8) -> Vec<u8> {
 
 proptest! {
     #![proptest_config(ProptestConfig {
-        cases: 12,
+        cases: 24,
         max_shrink_iters: 200,
         .. ProptestConfig::default()
     })]
 
     #[test]
-    fn random_ops_match_oracle(ops in proptest::collection::vec(op(), 1..120), seed in any::<u32>()) {
+    fn random_ops_match_oracle(
+        ops in proptest::collection::vec(op(), 1..120),
+        seed in any::<u32>(),
+        background in any::<bool>(),
+    ) {
         let dir = std::env::temp_dir().join(format!(
             "iotkv-prop-{seed}-{}-{:?}",
             std::process::id(),
             std::thread::current().id()
         ));
         std::fs::remove_dir_all(&dir).ok();
-        let mut db = Some(Db::open(&dir, Options::small()).unwrap());
+        let opts = Options { background_compaction: background, ..Options::small() };
+        let mut db = Some(Db::open(&dir, opts.clone()).unwrap());
         let mut oracle: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();
 
         for op in &ops {
@@ -87,7 +93,7 @@ proptest! {
                 Op::Flush => handle.flush().unwrap(),
                 Op::Reopen => {
                     drop(db.take());
-                    db = Some(Db::open(&dir, Options::small()).unwrap());
+                    db = Some(Db::open(&dir, opts.clone()).unwrap());
                 }
             }
         }

@@ -43,6 +43,13 @@ if [[ "${1:-}" != "quick" ]]; then
     echo "== cargo test =="
     cargo test --workspace --release -q
 
+    echo "== iotbench (unit tests + smoke of all four workloads and their gates) =="
+    # benchmarks/ is its own workspace, so the line above does not reach
+    # it. The smoke run reopens and recounts what it ingested and checks
+    # every query aggregate: a product change that breaks the benchmark's
+    # correctness gates fails here, not in the next measurement.
+    cargo test --release --offline -q --manifest-path benchmarks/Cargo.toml
+
     echo "== race-check models (loom-lite) =="
     cargo clippy -p simkit -p tpcx-iot --features race-check --all-targets -- -D warnings
     cargo test -q -p simkit --features race-check
