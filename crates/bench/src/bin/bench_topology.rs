@@ -87,22 +87,21 @@ fn run_case(label: &str, kvps: u64, plan: Option<FaultPlan>) -> SweepRow {
 
     let iotps = report.ingested as f64 / report.elapsed_secs.max(1e-9);
     let stats = cluster.stats();
-    let counters: ClusterCounters = (&stats).into();
     // Per-sensor floor scaled down with the row count so short sweep runs
     // are judged by shape; the topology check then guards routing health.
     let mut validity = degraded_run_verdict(report.ingested, stats.puts, iotps / 200.0, 1.0);
-    apply_topology_check(&mut validity, Some(&counters));
+    apply_topology_check(&mut validity, Some(&stats));
 
     let row = SweepRow {
         label: label.to_string(),
         iotps,
         vs_baseline: 1.0,
-        splits: counters.splits,
-        migrations_completed: counters.migrations_completed,
-        migrations_aborted: counters.migrations_aborted,
-        drains: counters.drains,
-        stale_route_retries: counters.stale_route_retries,
-        epoch: counters.epoch,
+        splits: stats.resilience.splits,
+        migrations_completed: stats.resilience.migrations_completed,
+        migrations_aborted: stats.resilience.migrations_aborted,
+        drains: stats.resilience.drains,
+        stale_route_retries: stats.resilience.stale_route_retries,
+        epoch: stats.epoch,
         verdict: if validity.valid {
             validity.verdict().to_string()
         } else {
@@ -111,8 +110,8 @@ fn run_case(label: &str, kvps: u64, plan: Option<FaultPlan>) -> SweepRow {
         valid: validity.valid,
         snapshot,
         violations,
-        engine: stats.engine.into(),
-        cluster: counters,
+        engine: stats.engine,
+        cluster: stats,
     };
     drop(cluster);
     std::fs::remove_dir_all(&dir).ok();
@@ -314,7 +313,7 @@ fn export_metrics(rows: &[SweepRow]) {
     let mut valid = true;
     for r in rows {
         registry.add_phase(r.label.clone(), r.snapshot.clone(), r.violations.clone());
-        registry.engine.merge(&r.engine);
+        registry.engine.accumulate(&r.engine);
         match registry.cluster.as_mut() {
             Some(total) => total.merge(&r.cluster),
             None => registry.cluster = Some(r.cluster.clone()),

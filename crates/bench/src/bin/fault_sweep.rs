@@ -113,8 +113,8 @@ fn run_case(label: &str, kvps: u64, plan: Option<FaultPlan>) -> SweepRow {
         },
         snapshot,
         violations,
-        engine: stats.engine.into(),
-        cluster: (&stats).into(),
+        engine: stats.engine,
+        cluster: stats,
     };
     drop(cluster);
     std::fs::remove_dir_all(&dir).ok();
@@ -255,7 +255,7 @@ fn export_metrics(rows: &[SweepRow]) {
     let mut valid = true;
     for r in rows {
         registry.add_phase(r.label.clone(), r.snapshot.clone(), r.violations.clone());
-        registry.engine.merge(&r.engine);
+        registry.engine.accumulate(&r.engine);
         match registry.cluster.as_mut() {
             Some(total) => total.merge(&r.cluster),
             None => registry.cluster = Some(r.cluster.clone()),

@@ -83,61 +83,10 @@ impl From<wire::WireError> for BackendError {
 
 pub type BackendResult<T> = Result<T, BackendError>;
 
-/// Degraded-mode counters a backend exposes for run accounting. All
-/// zeros for backends without a failure model.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ResilienceCounters {
-    pub failover_reads: u64,
-    pub under_replicated_writes: u64,
-    pub hinted_writes: u64,
-    pub replayed_hints: u64,
-    pub unavailable_errors: u64,
-    /// Transient faults absorbed inside streaming scans (re-judged at
-    /// region-cursor open instead of failing the query).
-    pub scan_retries: u64,
-    /// Mid-stream failovers: a scan resumed on another replica from the
-    /// successor of the last yielded key.
-    pub scan_resumes: u64,
-    /// Region splits executed online (planned events, explicit calls,
-    /// or write-rate threshold triggers).
-    pub splits: u64,
-    /// Node drains executed online.
-    pub drains: u64,
-    /// Replica migrations registered (snapshot copy + catch-up delta).
-    pub migrations_started: u64,
-    /// Migrations whose replica swap was published.
-    pub migrations_completed: u64,
-    /// Migrations abandoned (dead destination, no live source, storage
-    /// error mid-copy) — the old replica set kept serving.
-    pub migrations_aborted: u64,
-    /// Writes that detected a stale routing epoch after replication and
-    /// re-wrote against the new replica set.
-    pub stale_route_retries: u64,
-    /// Migration copy chunks that paused at the configured in-flight
-    /// copy budget — the drain throttle yielding bandwidth to ingest.
-    pub migration_throttled: u64,
-}
-
-impl From<gateway::cluster::ResilienceStats> for ResilienceCounters {
-    fn from(r: gateway::cluster::ResilienceStats) -> ResilienceCounters {
-        ResilienceCounters {
-            failover_reads: r.failover_reads,
-            under_replicated_writes: r.under_replicated_writes,
-            hinted_writes: r.hinted_writes,
-            replayed_hints: r.replayed_hints,
-            unavailable_errors: r.unavailable_errors,
-            scan_retries: r.scan_retries,
-            scan_resumes: r.scan_resumes,
-            splits: r.splits,
-            drains: r.drains,
-            migrations_started: r.migrations_started,
-            migrations_completed: r.migrations_completed,
-            migrations_aborted: r.migrations_aborted,
-            stale_route_retries: r.stale_route_retries,
-            migration_throttled: r.migration_throttled,
-        }
-    }
-}
+/// Degraded-mode counters a backend exposes for run accounting — the
+/// cluster's own resilience snapshot, where the counters are declared.
+/// All zeros for backends without a failure model.
+pub use gateway::cluster::ResilienceStats as ResilienceCounters;
 
 /// What the TPCx-IoT driver requires of a system under test.
 pub trait GatewayBackend: Send + Sync {
@@ -155,31 +104,29 @@ pub trait GatewayBackend: Send + Sync {
         Ok(())
     }
 
-    /// Ordered scan of `[start, end)`, up to `limit` rows.
-    fn scan(&self, start: &[u8], end: &[u8], limit: usize) -> BackendResult<Vec<(Bytes, Bytes)>>;
-
     /// Streams `[start, end)` in key order into `visit` without
     /// materializing the window; `visit` returns `false` to stop early.
-    /// Returns the number of rows visited.
-    ///
-    /// The default delegates to [`GatewayBackend::scan`] so simple
-    /// backends work unchanged; streaming backends override it so no
-    /// `Vec` of rows ever crosses this boundary on the query path.
+    /// Returns the number of rows visited. This is the scan primitive: a
+    /// backend implements it once, and no `Vec` of rows crosses this
+    /// boundary on the query path.
     fn scan_fold(
         &self,
         start: &[u8],
         end: &[u8],
         visit: &mut dyn FnMut(&[u8], &[u8]) -> bool,
-    ) -> BackendResult<u64> {
-        let rows = self.scan(start, end, usize::MAX)?;
-        let mut visited = 0u64;
-        for (k, v) in &rows {
-            visited += 1;
-            if !visit(k, v) {
-                break;
-            }
+    ) -> BackendResult<u64>;
+
+    /// Ordered scan of `[start, end)`, up to `limit` rows, collected
+    /// through [`GatewayBackend::scan_fold`].
+    fn scan(&self, start: &[u8], end: &[u8], limit: usize) -> BackendResult<Vec<(Bytes, Bytes)>> {
+        let mut rows = Vec::new();
+        if limit > 0 {
+            self.scan_fold(start, end, &mut |k, v| {
+                rows.push((Bytes::copy_from_slice(k), Bytes::copy_from_slice(v)));
+                rows.len() < limit
+            })?;
         }
-        Ok(visited)
+        Ok(rows)
     }
 
     /// The replication factor applied to ingested data (the prerequisite
@@ -203,10 +150,6 @@ impl GatewayBackend for gateway::Cluster {
 
     fn insert_batch(&self, items: &[(Bytes, Bytes)]) -> BackendResult<()> {
         self.put_batch(items).map_err(BackendError::from)
-    }
-
-    fn scan(&self, start: &[u8], end: &[u8], limit: usize) -> BackendResult<Vec<(Bytes, Bytes)>> {
-        gateway::Cluster::scan(self, start, end, limit).map_err(BackendError::from)
     }
 
     fn scan_fold(
@@ -235,7 +178,43 @@ impl GatewayBackend for gateway::Cluster {
     }
 
     fn resilience(&self) -> ResilienceCounters {
-        gateway::Cluster::resilience(self).into()
+        gateway::Cluster::resilience(self)
+    }
+}
+
+/// The data-plane view of the locked cluster a [`crate::runner::GatewaySut`]
+/// shares with the socket server: every call runs the one `Cluster`
+/// implementation above under the lifecycle read guard (purge and restart
+/// hold the write side), so a scan streams straight from the region
+/// iterators for as long as its guard lives.
+impl GatewayBackend for parking_lot::RwLock<gateway::Cluster> {
+    fn insert(&self, key: &[u8], value: &[u8]) -> BackendResult<()> {
+        self.read().insert(key, value)
+    }
+
+    fn insert_batch(&self, items: &[(Bytes, Bytes)]) -> BackendResult<()> {
+        self.read().insert_batch(items)
+    }
+
+    fn scan_fold(
+        &self,
+        start: &[u8],
+        end: &[u8],
+        visit: &mut dyn FnMut(&[u8], &[u8]) -> bool,
+    ) -> BackendResult<u64> {
+        self.read().scan_fold(start, end, visit)
+    }
+
+    fn replication_factor(&self) -> usize {
+        self.read().replication_factor()
+    }
+
+    fn ingested_count(&self) -> u64 {
+        self.read().ingested_count()
+    }
+
+    fn resilience(&self) -> ResilienceCounters {
+        self.read().resilience()
     }
 }
 
@@ -275,8 +254,13 @@ impl GatewayBackend for NullBackend {
         Ok(())
     }
 
-    fn scan(&self, _: &[u8], _: &[u8], _: usize) -> BackendResult<Vec<(Bytes, Bytes)>> {
-        Ok(Vec::new())
+    fn scan_fold(
+        &self,
+        _: &[u8],
+        _: &[u8],
+        _: &mut dyn FnMut(&[u8], &[u8]) -> bool,
+    ) -> BackendResult<u64> {
+        Ok(0)
     }
 
     fn replication_factor(&self) -> usize {
@@ -314,16 +298,6 @@ impl GatewayBackend for MemBackend {
         self.inserts
             .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         Ok(())
-    }
-
-    fn scan(&self, start: &[u8], end: &[u8], limit: usize) -> BackendResult<Vec<(Bytes, Bytes)>> {
-        Ok(self
-            .map
-            .read()
-            .range(start.to_vec()..end.to_vec())
-            .take(limit)
-            .map(|(k, v)| (Bytes::copy_from_slice(k), v.clone()))
-            .collect())
     }
 
     fn scan_fold(
@@ -385,43 +359,6 @@ mod tests {
         // Early stop: the visitor's `false` ends the stream.
         let visited = b.scan_fold(b"a", b"z", &mut |_, _| false).unwrap();
         assert_eq!(visited, 1);
-
-        // The trait default (materializing) agrees with the override.
-        struct Defaulted(MemBackend);
-        impl GatewayBackend for Defaulted {
-            fn insert(&self, k: &[u8], v: &[u8]) -> BackendResult<()> {
-                self.0.insert(k, v)
-            }
-            fn scan(
-                &self,
-                start: &[u8],
-                end: &[u8],
-                limit: usize,
-            ) -> BackendResult<Vec<(Bytes, Bytes)>> {
-                self.0.scan(start, end, limit)
-            }
-            fn replication_factor(&self) -> usize {
-                3
-            }
-            fn ingested_count(&self) -> u64 {
-                self.0.ingested_count()
-            }
-        }
-        let d = Defaulted(MemBackend::new());
-        for k in ["a", "b", "c"] {
-            d.insert(k.as_bytes(), b"v").unwrap();
-        }
-        let mut n = 0;
-        assert_eq!(
-            d.scan_fold(b"a", b"z", &mut |_, _| {
-                n += 1;
-                true
-            })
-            .unwrap(),
-            3
-        );
-        assert_eq!(n, 3);
-        assert_eq!(d.scan_fold(b"a", b"z", &mut |_, _| false).unwrap(), 1);
     }
 
     #[test]

@@ -192,7 +192,7 @@ pub fn apply_topology_check(
         "topology corruption: routing table inconsistent after online \
          reconfiguration (epoch {}, {} split(s), {} migration(s) completed, \
          {} drain(s))",
-        c.epoch, c.splits, c.migrations_completed, c.drains,
+        c.epoch, c.resilience.splits, c.resilience.migrations_completed, c.resilience.drains,
     ));
 }
 
@@ -306,9 +306,12 @@ mod tests {
         let corrupt = ClusterCounters {
             topology_ok: false,
             epoch: 4,
-            splits: 1,
-            migrations_completed: 2,
-            drains: 1,
+            resilience: crate::backend::ResilienceCounters {
+                splits: 1,
+                migrations_completed: 2,
+                drains: 1,
+                ..Default::default()
+            },
             ..Default::default()
         };
         apply_topology_check(&mut v, Some(&corrupt));

@@ -246,16 +246,21 @@ impl NetBackend {
     fn expect_ok(&self, reply: Message) -> BackendResult<()> {
         match reply {
             Message::Ok => Ok(()),
-            Message::Err { transient, message } => Err(if transient {
-                BackendError::transient(message)
-            } else {
-                BackendError::permanent(message)
-            }),
+            Message::Err { transient, message } => Err(gateway_error(transient, message)),
             other => Err(BackendError::permanent(format!(
                 "unexpected gateway reply {}",
                 other.name()
             ))),
         }
+    }
+}
+
+/// An `Err` frame as the backend error it carries.
+fn gateway_error(transient: bool, message: String) -> BackendError {
+    if transient {
+        BackendError::transient(message)
+    } else {
+        BackendError::permanent(message)
     }
 }
 
@@ -278,56 +283,21 @@ impl GatewayBackend for NetBackend {
         self.expect_ok(reply)
     }
 
-    fn scan(&self, start: &[u8], end: &[u8], limit: usize) -> BackendResult<Vec<(Bytes, Bytes)>> {
-        let mut rows = Vec::new();
-        self.scan_bounded(start, end, limit as u64, &mut |k, v| {
-            rows.push((Bytes::copy_from_slice(k), Bytes::copy_from_slice(v)));
-            true
-        })?;
-        Ok(rows)
-    }
-
+    /// Streams one remote scan: `ScanRow` frames until `ScanDone`. The
+    /// visitor's early stop only mutes delivery — the frame stream is
+    /// drained to `ScanDone` so the connection stays frame-aligned and
+    /// poolable.
     fn scan_fold(
         &self,
         start: &[u8],
         end: &[u8],
         visit: &mut dyn FnMut(&[u8], &[u8]) -> bool,
     ) -> BackendResult<u64> {
-        self.scan_bounded(start, end, u64::MAX, visit)
-    }
-
-    fn replication_factor(&self) -> usize {
-        match self.rpc(&Message::GetStats) {
-            Ok(Message::Stats { replication, .. }) => replication as usize,
-            _ => 0,
-        }
-    }
-
-    fn ingested_count(&self) -> u64 {
-        match self.rpc(&Message::GetStats) {
-            Ok(Message::Stats { ingested, .. }) => ingested,
-            _ => 0,
-        }
-    }
-}
-
-impl NetBackend {
-    /// Streams one remote scan: `ScanRow` frames until `ScanDone`. The
-    /// visitor's early stop only mutes delivery — the frame stream is
-    /// drained to `ScanDone` so the connection stays frame-aligned and
-    /// poolable.
-    fn scan_bounded(
-        &self,
-        start: &[u8],
-        end: &[u8],
-        limit: u64,
-        visit: &mut dyn FnMut(&[u8], &[u8]) -> bool,
-    ) -> BackendResult<u64> {
         let mut conn = self.checkout()?;
         conn.send(&Message::Scan {
             start: start.to_vec(),
             end: end.to_vec(),
-            limit,
+            limit: u64::MAX,
         })?;
         let mut visited = 0u64;
         let mut stopped = false;
@@ -350,11 +320,7 @@ impl NetBackend {
                     // alignment is still intact (Err ends the scan), so
                     // it is poolable.
                     self.checkin(conn);
-                    return Err(if transient {
-                        BackendError::transient(message)
-                    } else {
-                        BackendError::permanent(message)
-                    });
+                    return Err(gateway_error(transient, message));
                 }
                 other => {
                     return Err(BackendError::permanent(format!(
@@ -363,6 +329,20 @@ impl NetBackend {
                     )));
                 }
             }
+        }
+    }
+
+    fn replication_factor(&self) -> usize {
+        match self.rpc(&Message::GetStats) {
+            Ok(Message::Stats { replication, .. }) => replication as usize,
+            _ => 0,
+        }
+    }
+
+    fn ingested_count(&self) -> u64 {
+        match self.rpc(&Message::GetStats) {
+            Ok(Message::Stats { ingested, .. }) => ingested,
+            _ => 0,
         }
     }
 }

@@ -332,14 +332,6 @@ mod tests {
             fn insert(&self, k: &[u8], v: &[u8]) -> BackendResult<()> {
                 self.inner.insert(k, v)
             }
-            fn scan(
-                &self,
-                start: &[u8],
-                end: &[u8],
-                limit: usize,
-            ) -> BackendResult<Vec<(bytes::Bytes, bytes::Bytes)>> {
-                self.inner.scan(start, end, limit)
-            }
             fn scan_fold(
                 &self,
                 start: &[u8],

@@ -220,17 +220,17 @@ pub fn full_disclosure_report(
             let _ = writeln!(
                 out,
                 "streamed scans: {} rows in {} scans ({} mid-scan failovers)",
-                c.rows_streamed, c.scans, c.scan_resumes,
+                c.rows_streamed, c.scans, c.resilience.scan_resumes,
             );
         }
-        if c.splits + c.drains + c.migrations_started > 0 {
+        if c.resilience.splits + c.resilience.drains + c.resilience.migrations_started > 0 {
             let _ = writeln!(
                 out,
                 "online reconfiguration: {} splits, {} drains, {} migrations \
                  completed at epoch {} (topology {})",
-                c.splits,
-                c.drains,
-                c.migrations_completed,
+                c.resilience.splits,
+                c.resilience.drains,
+                c.resilience.migrations_completed,
                 c.epoch,
                 if c.topology_ok {
                     "consistent"

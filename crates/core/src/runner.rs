@@ -2,7 +2,7 @@
 //! iterations of warm-up + measured workload executions with data checks,
 //! system cleanup between iterations, and metric derivation.
 
-use crate::backend::{GatewayBackend, ResilienceCounters};
+use crate::backend::GatewayBackend;
 use crate::checks::{data_check, file_check, replication_check, CheckResult, KitManifest};
 use crate::driver::{run_driver_with_telemetry, DriverConfig, DriverReport};
 use crate::metrics::{
@@ -478,7 +478,7 @@ pub(crate) fn build_registry(iterations: &[IterationOutcome]) -> MetricsRegistry
             it.measured.rate_violations.clone(),
         );
         if let Some(e) = &it.engine {
-            engine.merge(e);
+            engine.accumulate(e);
             saw_engine = true;
         }
         if let Some(c) = &it.cluster {
@@ -529,79 +529,9 @@ impl GatewaySut {
     }
 }
 
-/// The data-plane view of the locked cluster.
-struct GatewaySutBackend {
-    cluster: Arc<parking_lot::RwLock<gateway::Cluster>>,
-}
-
-impl GatewayBackend for GatewaySutBackend {
-    fn insert(&self, key: &[u8], value: &[u8]) -> crate::backend::BackendResult<()> {
-        self.cluster
-            .read()
-            .put(key, value)
-            .map_err(crate::backend::BackendError::from)
-    }
-
-    fn insert_batch(
-        &self,
-        items: &[(bytes::Bytes, bytes::Bytes)],
-    ) -> crate::backend::BackendResult<()> {
-        self.cluster
-            .read()
-            .put_batch(items)
-            .map_err(crate::backend::BackendError::from)
-    }
-
-    fn scan(
-        &self,
-        start: &[u8],
-        end: &[u8],
-        limit: usize,
-    ) -> crate::backend::BackendResult<Vec<(bytes::Bytes, bytes::Bytes)>> {
-        self.cluster
-            .read()
-            .scan(start, end, limit)
-            .map_err(crate::backend::BackendError::from)
-    }
-
-    fn scan_fold(
-        &self,
-        start: &[u8],
-        end: &[u8],
-        visit: &mut dyn FnMut(&[u8], &[u8]) -> bool,
-    ) -> crate::backend::BackendResult<u64> {
-        // Stream under the lifecycle read guard (restart/purge hold the
-        // write side), so rows flow straight from the region iterators.
-        let cluster = self.cluster.read();
-        let mut visited = 0u64;
-        for item in cluster.scan_stream(start, end) {
-            let (k, v) = item.map_err(crate::backend::BackendError::from)?;
-            visited += 1;
-            if !visit(&k, &v) {
-                break;
-            }
-        }
-        Ok(visited)
-    }
-
-    fn replication_factor(&self) -> usize {
-        self.cluster.read().effective_replication()
-    }
-
-    fn ingested_count(&self) -> u64 {
-        self.cluster.read().stats().puts
-    }
-
-    fn resilience(&self) -> ResilienceCounters {
-        self.cluster.read().resilience().into()
-    }
-}
-
 impl SystemUnderTest for GatewaySut {
     fn backend(&self) -> Arc<dyn GatewayBackend> {
-        Arc::new(GatewaySutBackend {
-            cluster: Arc::clone(&self.cluster),
-        })
+        self.shared()
     }
 
     fn cleanup(&mut self) -> Result<(), String> {
@@ -618,16 +548,11 @@ impl SystemUnderTest for GatewaySut {
     }
 
     fn engine_counters(&self) -> Option<EngineCounters> {
-        let c = self.cluster.read();
-        let mut engine = EngineCounters::default();
-        for node in 0..c.node_count() {
-            engine.accumulate(&c.node_db_stats(node));
-        }
-        Some(engine)
+        Some(self.cluster.read().stats().engine)
     }
 
     fn cluster_counters(&self) -> Option<ClusterCounters> {
-        Some((&self.cluster.read().stats()).into())
+        Some(self.cluster.read().stats())
     }
 }
 
@@ -730,13 +655,13 @@ mod tests {
             fn insert(&self, k: &[u8], v: &[u8]) -> crate::backend::BackendResult<()> {
                 self.0.insert(k, v)
             }
-            fn scan(
+            fn scan_fold(
                 &self,
                 s: &[u8],
                 e: &[u8],
-                l: usize,
-            ) -> crate::backend::BackendResult<Vec<(bytes::Bytes, bytes::Bytes)>> {
-                self.0.scan(s, e, l)
+                visit: &mut dyn FnMut(&[u8], &[u8]) -> bool,
+            ) -> crate::backend::BackendResult<u64> {
+                self.0.scan_fold(s, e, visit)
             }
             fn replication_factor(&self) -> usize {
                 1 // no replication: must fail the prerequisite

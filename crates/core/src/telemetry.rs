@@ -400,198 +400,13 @@ pub fn validate_sustained_rate(
 // Registry: unified counters from every layer
 // ---------------------------------------------------------------------------
 
-/// Storage-engine counters aggregated across all cluster nodes.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct EngineCounters {
-    pub wal_syncs: u64,
-    pub flushes: u64,
-    pub compactions: u64,
-    pub bytes_flushed: u64,
-    pub bytes_compacted: u64,
-    pub cache_hits: u64,
-    pub cache_misses: u64,
-    pub commit_groups: u64,
-    pub commit_batches: u64,
-    pub stalls: u64,
-    pub table_count: u64,
-}
+/// Storage-engine counters aggregated across all cluster nodes: the
+/// engine's own statistics snapshot, where the counters are declared.
+pub use iotkv::DbStats as EngineCounters;
 
-impl EngineCounters {
-    /// Folds one node's engine statistics in.
-    pub fn accumulate(&mut self, s: &iotkv::DbStats) {
-        self.wal_syncs += s.wal_syncs;
-        self.flushes += s.flushes;
-        self.compactions += s.compactions;
-        self.bytes_flushed += s.bytes_flushed;
-        self.bytes_compacted += s.bytes_compacted;
-        self.cache_hits += s.cache_hits;
-        self.cache_misses += s.cache_misses;
-        self.commit_groups += s.commit_groups;
-        self.commit_batches += s.commit_batches;
-        self.stalls += s.stalls;
-        self.table_count += s.table_count as u64;
-    }
-
-    /// Folds another aggregate in (e.g. across iterations).
-    pub fn merge(&mut self, other: &EngineCounters) {
-        self.wal_syncs += other.wal_syncs;
-        self.flushes += other.flushes;
-        self.compactions += other.compactions;
-        self.bytes_flushed += other.bytes_flushed;
-        self.bytes_compacted += other.bytes_compacted;
-        self.cache_hits += other.cache_hits;
-        self.cache_misses += other.cache_misses;
-        self.commit_groups += other.commit_groups;
-        self.commit_batches += other.commit_batches;
-        self.stalls += other.stalls;
-        self.table_count += other.table_count;
-    }
-}
-
-impl From<iotkv::DbStats> for EngineCounters {
-    fn from(s: iotkv::DbStats) -> EngineCounters {
-        let mut e = EngineCounters::default();
-        e.accumulate(&s);
-        e
-    }
-}
-
-/// Gateway-cluster counters: per-node op counts plus the failover/retry
-/// events [`gateway::ClusterStats`] already tracks.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct ClusterCounters {
-    pub puts: u64,
-    pub gets: u64,
-    pub scans: u64,
-    /// Kvps acknowledged through the batched ingest path (subset of
-    /// `puts`).
-    pub batched_puts: u64,
-    /// Acknowledged `put_batch` calls.
-    pub put_batches: u64,
-    pub replica_writes: u64,
-    /// Rows yielded through streaming scans.
-    pub rows_streamed: u64,
-    pub regions: u64,
-    pub node_writes: Vec<u64>,
-    pub node_reads: Vec<u64>,
-    pub failover_reads: u64,
-    pub under_replicated_writes: u64,
-    pub hinted_writes: u64,
-    pub replayed_hints: u64,
-    pub unavailable_errors: u64,
-    /// Transient faults absorbed inside streaming scans.
-    pub scan_retries: u64,
-    /// Mid-stream scan failovers (resumed on another replica).
-    pub scan_resumes: u64,
-    /// Online region splits executed during the run.
-    pub splits: u64,
-    /// Online node drains executed during the run.
-    pub drains: u64,
-    /// Replica migrations registered.
-    pub migrations_started: u64,
-    /// Migrations whose replica swap was published.
-    pub migrations_completed: u64,
-    /// Migrations abandoned with the old replica set kept serving.
-    pub migrations_aborted: u64,
-    /// Writes that re-ran against a newer routing epoch after detecting
-    /// a stale route.
-    pub stale_route_retries: u64,
-    /// Migration copy chunks that paused at the in-flight budget so
-    /// foreground ingest keeps its share of the cluster.
-    pub migration_throttled: u64,
-    /// Routing-table version at sample time (bumped by every topology
-    /// mutation).
-    pub epoch: u64,
-    /// Whether the routing table was consistent at sample time; folded
-    /// into the run verdict.
-    pub topology_ok: bool,
-}
-
-impl From<&gateway::ClusterStats> for ClusterCounters {
-    fn from(s: &gateway::ClusterStats) -> ClusterCounters {
-        ClusterCounters {
-            puts: s.puts,
-            gets: s.gets,
-            scans: s.scans,
-            batched_puts: s.batched_puts,
-            put_batches: s.put_batches,
-            replica_writes: s.replica_writes,
-            rows_streamed: s.rows_streamed,
-            regions: s.regions as u64,
-            node_writes: s.node_writes.clone(),
-            node_reads: s.node_reads.clone(),
-            failover_reads: s.resilience.failover_reads,
-            under_replicated_writes: s.resilience.under_replicated_writes,
-            hinted_writes: s.resilience.hinted_writes,
-            replayed_hints: s.resilience.replayed_hints,
-            unavailable_errors: s.resilience.unavailable_errors,
-            scan_retries: s.resilience.scan_retries,
-            scan_resumes: s.resilience.scan_resumes,
-            splits: s.resilience.splits,
-            drains: s.resilience.drains,
-            migrations_started: s.resilience.migrations_started,
-            migrations_completed: s.resilience.migrations_completed,
-            migrations_aborted: s.resilience.migrations_aborted,
-            stale_route_retries: s.resilience.stale_route_retries,
-            migration_throttled: s.resilience.migration_throttled,
-            epoch: s.epoch,
-            topology_ok: s.topology_ok,
-        }
-    }
-}
-
-impl ClusterCounters {
-    /// Folds another sample in (per-node vectors add element-wise).
-    /// Mean kvps per acknowledged batch (0 when nothing was batched).
-    pub fn batch_fill(&self) -> f64 {
-        if self.put_batches == 0 {
-            0.0
-        } else {
-            self.batched_puts as f64 / self.put_batches as f64
-        }
-    }
-
-    pub fn merge(&mut self, other: &ClusterCounters) {
-        self.puts += other.puts;
-        self.gets += other.gets;
-        self.scans += other.scans;
-        self.batched_puts += other.batched_puts;
-        self.put_batches += other.put_batches;
-        self.replica_writes += other.replica_writes;
-        self.rows_streamed += other.rows_streamed;
-        self.regions = self.regions.max(other.regions);
-        if other.node_writes.len() > self.node_writes.len() {
-            self.node_writes.resize(other.node_writes.len(), 0);
-        }
-        for (a, &b) in self.node_writes.iter_mut().zip(&other.node_writes) {
-            *a += b;
-        }
-        if other.node_reads.len() > self.node_reads.len() {
-            self.node_reads.resize(other.node_reads.len(), 0);
-        }
-        for (a, &b) in self.node_reads.iter_mut().zip(&other.node_reads) {
-            *a += b;
-        }
-        self.failover_reads += other.failover_reads;
-        self.under_replicated_writes += other.under_replicated_writes;
-        self.hinted_writes += other.hinted_writes;
-        self.replayed_hints += other.replayed_hints;
-        self.unavailable_errors += other.unavailable_errors;
-        self.scan_retries += other.scan_retries;
-        self.scan_resumes += other.scan_resumes;
-        self.splits += other.splits;
-        self.drains += other.drains;
-        self.migrations_started += other.migrations_started;
-        self.migrations_completed += other.migrations_completed;
-        self.migrations_aborted += other.migrations_aborted;
-        self.stale_route_retries += other.stale_route_retries;
-        self.migration_throttled += other.migration_throttled;
-        // The merged epoch is the furthest routing version any sample
-        // saw; consistency must have held in *every* sample.
-        self.epoch = self.epoch.max(other.epoch);
-        self.topology_ok = self.topology_ok && other.topology_ok;
-    }
-}
+/// Gateway-cluster counters: the cluster's own statistics snapshot, where
+/// the operation and resilience counters are declared.
+pub use gateway::ClusterStats as ClusterCounters;
 
 /// One labelled phase entry in the registry ("iter1/measured",
 /// "case: crash 50%", ...).
@@ -701,72 +516,28 @@ impl MetricsRegistry {
             out.push_str("]}");
         }
         out.push_str("\n  ],\n  \"engine\": {");
-        let e = &self.engine;
-        let _ = write!(
-            out,
-            "\"wal_syncs\": {}, \"flushes\": {}, \"compactions\": {}, \
-             \"bytes_flushed\": {}, \"bytes_compacted\": {}, \"cache_hits\": {}, \
-             \"cache_misses\": {}, \"commit_groups\": {}, \"commit_batches\": {}, \
-             \"stalls\": {}, \"table_count\": {}",
-            e.wal_syncs,
-            e.flushes,
-            e.compactions,
-            e.bytes_flushed,
-            e.bytes_compacted,
-            e.cache_hits,
-            e.cache_misses,
-            e.commit_groups,
-            e.commit_batches,
-            e.stalls,
-            e.table_count,
-        );
+        json_counters(&mut out, "", self.engine.counters());
         out.push_str("},\n  \"cluster\": ");
         match &self.cluster {
             None => out.push_str("null"),
             Some(c) => {
-                let _ = write!(
-                    out,
-                    "{{\"puts\": {}, \"gets\": {}, \"scans\": {}, \"batched_puts\": {}, \
-                     \"put_batches\": {}, \"batch_fill\": {}, \"replica_writes\": {}, \
-                     \"rows_streamed\": {}, \"regions\": {}, \"node_writes\": ",
-                    c.puts,
-                    c.gets,
-                    c.scans,
-                    c.batched_puts,
-                    c.put_batches,
-                    json_f64(c.batch_fill()),
-                    c.replica_writes,
-                    c.rows_streamed,
-                    c.regions
-                );
+                out.push('{');
+                for (name, v) in c.counters() {
+                    let _ = write!(out, "\"{name}\": {v}, ");
+                    // The derived batch fill sits beside its inputs.
+                    if name == "put_batches" {
+                        let _ = write!(out, "\"batch_fill\": {}, ", json_f64(c.batch_fill()));
+                    }
+                }
+                let _ = write!(out, "\"regions\": {}, \"node_writes\": ", c.regions);
                 json_u64_array(&mut out, &c.node_writes);
                 out.push_str(", \"node_reads\": ");
                 json_u64_array(&mut out, &c.node_reads);
+                json_counters(&mut out, ", ", c.resilience.counters());
                 let _ = write!(
                     out,
-                    ", \"failover_reads\": {}, \"under_replicated_writes\": {}, \
-                     \"hinted_writes\": {}, \"replayed_hints\": {}, \
-                     \"unavailable_errors\": {}, \"scan_retries\": {}, \
-                     \"scan_resumes\": {}, \"splits\": {}, \"drains\": {}, \
-                     \"migrations_started\": {}, \"migrations_completed\": {}, \
-                     \"migrations_aborted\": {}, \"stale_route_retries\": {}, \
-                     \"migration_throttled\": {}, \"epoch\": {}, \"topology_ok\": {}}}",
-                    c.failover_reads,
-                    c.under_replicated_writes,
-                    c.hinted_writes,
-                    c.replayed_hints,
-                    c.unavailable_errors,
-                    c.scan_retries,
-                    c.scan_resumes,
-                    c.splits,
-                    c.drains,
-                    c.migrations_started,
-                    c.migrations_completed,
-                    c.migrations_aborted,
-                    c.stale_route_retries,
-                    c.migration_throttled,
-                    c.epoch,
-                    c.topology_ok,
+                    ", \"epoch\": {}, \"topology_ok\": {}}}",
+                    c.epoch, c.topology_ok
                 );
             }
         }
@@ -841,48 +612,16 @@ impl MetricsRegistry {
             );
         }
         out.push_str("# TYPE tpcx_iot_engine counter\n");
-        let e = &self.engine;
-        for (name, v) in [
-            ("wal_syncs", e.wal_syncs),
-            ("flushes", e.flushes),
-            ("compactions", e.compactions),
-            ("bytes_flushed", e.bytes_flushed),
-            ("bytes_compacted", e.bytes_compacted),
-            ("cache_hits", e.cache_hits),
-            ("cache_misses", e.cache_misses),
-            ("commit_groups", e.commit_groups),
-            ("commit_batches", e.commit_batches),
-            ("stalls", e.stalls),
-            ("table_count", e.table_count),
-        ] {
+        for (name, v) in self.engine.counters() {
             let _ = writeln!(out, "tpcx_iot_engine{{counter=\"{name}\"}} {v}");
         }
         if let Some(c) = &self.cluster {
             out.push_str("# TYPE tpcx_iot_cluster counter\n");
-            for (name, v) in [
-                ("puts", c.puts),
-                ("gets", c.gets),
-                ("scans", c.scans),
-                ("batched_puts", c.batched_puts),
-                ("put_batches", c.put_batches),
-                ("replica_writes", c.replica_writes),
-                ("rows_streamed", c.rows_streamed),
-                ("regions", c.regions),
-                ("failover_reads", c.failover_reads),
-                ("under_replicated_writes", c.under_replicated_writes),
-                ("hinted_writes", c.hinted_writes),
-                ("replayed_hints", c.replayed_hints),
-                ("unavailable_errors", c.unavailable_errors),
-                ("scan_retries", c.scan_retries),
-                ("scan_resumes", c.scan_resumes),
-                ("splits", c.splits),
-                ("drains", c.drains),
-                ("migrations_started", c.migrations_started),
-                ("migrations_completed", c.migrations_completed),
-                ("migrations_aborted", c.migrations_aborted),
-                ("stale_route_retries", c.stale_route_retries),
-                ("migration_throttled", c.migration_throttled),
-            ] {
+            for (name, v) in c
+                .counters()
+                .chain([("regions", c.regions as u64)])
+                .chain(c.resilience.counters())
+            {
                 let _ = writeln!(out, "tpcx_iot_cluster{{counter=\"{name}\"}} {v}");
             }
             out.push_str("# TYPE tpcx_iot_cluster_batch_fill gauge\n");
@@ -944,6 +683,19 @@ fn json_f64(v: f64) -> String {
         s
     } else {
         format!("{s}.0")
+    }
+}
+
+/// Writes `"name": value` pairs, comma-separated, after `lead`.
+fn json_counters(
+    out: &mut String,
+    lead: &str,
+    counters: impl Iterator<Item = (&'static str, u64)>,
+) {
+    let mut sep = lead;
+    for (name, v) in counters {
+        let _ = write!(out, "{sep}\"{name}\": {v}");
+        sep = ", ";
     }
 }
 
@@ -1221,23 +973,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_fill_is_mean_kvps_per_batch() {
-        let mut c = ClusterCounters {
-            batched_puts: 48,
-            put_batches: 3,
-            ..Default::default()
-        };
-        assert_eq!(c.batch_fill(), 16.0);
-        c.merge(&ClusterCounters {
-            batched_puts: 16,
-            put_batches: 1,
-            ..Default::default()
-        });
-        assert_eq!(c.batch_fill(), 16.0);
-        assert_eq!(ClusterCounters::default().batch_fill(), 0.0);
-    }
-
-    #[test]
     fn sustained_rate_flags_only_full_windows_below_floor() {
         let config = SustainedRateConfig {
             window_nanos: DEFAULT_WINDOW_NANOS,
@@ -1270,8 +1005,6 @@ mod tests {
         validate_json(&a).expect("export parses");
         assert!(a.contains("\"ingest_windows\""));
         assert!(a.contains("\"scan_rows_windows\": [42]"));
-        assert!(a.contains("\"scan_retries\": 0"));
-        assert!(a.contains("\"migration_throttled\": 0"));
         assert!(a.contains("\"epoch\": 0"));
         assert!(a.contains("\"topology_ok\": true"));
         assert!(a.contains("\"p999\""));
@@ -1288,40 +1021,57 @@ mod tests {
             "tpcx_iot_latency_nanos{run=\"iter1/measured\",op=\"ingest\",quantile=\"0.999\"}"
         ));
         assert!(prom.contains("tpcx_iot_engine{counter=\"wal_syncs\"} 7"));
-        assert!(prom.contains("tpcx_iot_cluster{counter=\"migrations_completed\"} 0"));
-        assert!(prom.contains("tpcx_iot_cluster{counter=\"migration_throttled\"} 0"));
         assert!(prom.contains("tpcx_iot_cluster_epoch 0"));
         assert!(prom.contains("tpcx_iot_cluster_topology_ok 1"));
         assert!(prom.contains("tpcx_iot_run_valid 1"));
     }
 
+    /// Walks the counter declarations (engine, cluster operations,
+    /// resilience): each declared name is exported exactly once by each
+    /// exporter, with its value, and summed by the merges.
     #[test]
-    fn cluster_merge_tracks_epoch_and_topology_health() {
-        let mut a = ClusterCounters {
-            epoch: 3,
-            topology_ok: true,
-            splits: 1,
-            stale_route_retries: 2,
-            ..Default::default()
+    fn every_declared_counter_is_exported_once_and_merged() {
+        let mut next = 1_000u64;
+        let mut fill = |counters: &mut dyn Iterator<Item = (&'static str, &mut u64)>| {
+            for (_, v) in counters {
+                next += 1;
+                *v = next;
+            }
         };
-        a.merge(&ClusterCounters {
-            epoch: 7,
-            topology_ok: true,
-            splits: 2,
-            stale_route_retries: 1,
-            ..Default::default()
-        });
-        assert_eq!(a.epoch, 7, "epoch merges as max, not sum");
-        assert_eq!(a.splits, 3);
-        assert_eq!(a.stale_route_retries, 3);
-        assert!(a.topology_ok);
-        a.merge(&ClusterCounters {
-            epoch: 5,
-            topology_ok: false,
-            ..Default::default()
-        });
-        assert_eq!(a.epoch, 7);
-        assert!(!a.topology_ok, "one bad sample poisons the merge");
+        let mut engine = EngineCounters::default();
+        fill(&mut engine.counters_mut());
+        let mut cluster = ClusterCounters::default();
+        fill(&mut cluster.counters_mut());
+        fill(&mut cluster.resilience.counters_mut());
+
+        let mut registry = MetricsRegistry::new();
+        registry.engine = engine;
+        registry.cluster = Some(cluster.clone());
+        let (json, prom) = (registry.to_json(), registry.to_prometheus());
+        validate_json(&json).expect("export parses");
+        validate_prometheus(&prom).expect("exposition parses");
+
+        let mut twice_engine = engine;
+        twice_engine.accumulate(&engine);
+        let mut twice = cluster.clone();
+        twice.merge(&cluster);
+
+        let engine_rows = engine.counters().zip(twice_engine.counters());
+        let cluster_rows = cluster
+            .counters()
+            .chain(cluster.resilience.counters())
+            .zip(twice.counters().chain(twice.resilience.counters()));
+        let rows = engine_rows
+            .map(|row| ("tpcx_iot_engine", row))
+            .chain(cluster_rows.map(|row| ("tpcx_iot_cluster", row)));
+        for (family, ((name, v), (_, merged))) in rows {
+            assert_eq!(json.matches(&format!("\"{name}\": ")).count(), 1, "{name}");
+            assert!(json.contains(&format!("\"{name}\": {v}")), "{name}");
+            let label = format!("{family}{{counter=\"{name}\"}} ");
+            assert_eq!(prom.matches(&label).count(), 1, "{name}");
+            assert!(prom.contains(&format!("{label}{v}\n")), "{name}");
+            assert_eq!(merged, 2 * v, "{name} is summed by merge");
+        }
     }
 
     #[test]

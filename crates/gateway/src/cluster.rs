@@ -15,7 +15,6 @@ use bytes::Bytes;
 use iotkv::{Db, Options, WriteBatch};
 use parking_lot::RwLock;
 use simkit::sync::{AtomicU64, Mutex, Ordering};
-use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
@@ -108,90 +107,137 @@ impl Node {
     }
 }
 
-/// Counters describing how the cluster degraded under faults.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct ResilienceStats {
-    /// Reads and scans served by a replica because the primary was down.
-    pub failover_reads: u64,
-    /// Replica writes skipped because the replica was down (each one is
-    /// a hole the hint replay later fills).
-    pub under_replicated_writes: u64,
-    /// Writes queued as hints for down replicas.
-    pub hinted_writes: u64,
-    /// Hinted writes replayed into restarted nodes.
-    pub replayed_hints: u64,
-    /// Operations that failed with [`GatewayError::Unavailable`].
-    pub unavailable_errors: u64,
-    /// Transient faults absorbed inside a streaming scan (the cursor
-    /// re-judged the node instead of failing the whole scan).
-    pub scan_retries: u64,
-    /// Streaming scans that lost their node mid-stream and resumed on
-    /// another replica from the last yielded key.
-    pub scan_resumes: u64,
-    /// Region splits performed (planned events, explicit calls, and
-    /// write-rate-threshold triggers).
-    pub splits: u64,
-    /// Node drain events executed.
-    pub drains: u64,
-    /// Replica migrations begun (snapshot copy started).
-    pub migrations_started: u64,
-    /// Replica migrations finalized into the routing table.
-    pub migrations_completed: u64,
-    /// Replica migrations abandoned (destination died mid-copy, no live
-    /// source, or the region changed under the migration).
-    pub migrations_aborted: u64,
-    /// Writes that detected a topology-epoch change after landing and
-    /// re-wrote themselves against the new replica set.
-    pub stale_route_retries: u64,
-    /// Migration copy chunks that paused at the in-flight copy budget
-    /// (the drain throttle yielding bandwidth back to foreground ingest).
-    pub migration_throttled: u64,
+simkit::counters! {
+    /// Counters describing how the cluster degraded under faults (all
+    /// zero on a fault-free run). This is the one declaration of the
+    /// resilience counters: the cells in [`Cluster`], their reset in
+    /// [`Cluster::purge`], the snapshot, its merge and the exported
+    /// JSON/Prometheus lines all derive from this list, in this order.
+    #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+    pub struct ResilienceStats, pub(crate) cells ResilienceCells {
+        /// Reads and scans served by a replica because the primary was down.
+        failover_reads,
+        /// Replica writes skipped because the replica was down (each one is
+        /// a hole the hint replay later fills).
+        under_replicated_writes,
+        /// Writes queued as hints for down replicas.
+        hinted_writes,
+        /// Hinted writes replayed into restarted nodes.
+        replayed_hints,
+        /// Operations that failed with [`GatewayError::Unavailable`].
+        unavailable_errors,
+        /// Transient faults absorbed inside a streaming scan (the cursor
+        /// re-judged the node instead of failing the whole scan).
+        scan_retries,
+        /// Streaming scans that lost their node mid-stream and resumed on
+        /// another replica from the last yielded key.
+        scan_resumes,
+        /// Region splits performed (planned events, explicit calls, and
+        /// write-rate-threshold triggers).
+        splits,
+        /// Node drain events executed.
+        drains,
+        /// Replica migrations begun (snapshot copy started).
+        migrations_started,
+        /// Replica migrations finalized into the routing table.
+        migrations_completed,
+        /// Replica migrations abandoned (destination died mid-copy, no live
+        /// source, or the region changed under the migration).
+        migrations_aborted,
+        /// Writes that detected a topology-epoch change after landing and
+        /// re-wrote themselves against the new replica set.
+        stale_route_retries,
+        /// Migration copy chunks that paused at the in-flight copy budget
+        /// (the drain throttle yielding bandwidth back to foreground ingest).
+        migration_throttled,
+    }
 }
 
-/// Point-in-time cluster statistics.
-#[derive(Clone, Debug, Default)]
-pub struct ClusterStats {
-    pub puts: u64,
-    pub gets: u64,
-    pub scans: u64,
-    /// Kvps acknowledged through [`Cluster::put_batch`] (a subset of
-    /// `puts`).
-    pub batched_puts: u64,
-    /// `put_batch` calls acknowledged — `batched_puts / put_batches` is
-    /// the mean batch fill.
-    pub put_batches: u64,
-    /// Physical replica writes performed (puts × effective replication
-    /// when every replica is up).
-    pub replica_writes: u64,
-    /// Rows yielded by streaming scans (all scans go through
-    /// [`Cluster::scan_stream`]).
-    pub rows_streamed: u64,
-    pub regions: usize,
-    /// The routing-table version: bumped on every topology mutation
-    /// (split, migration finalize, rebalance, drain).
-    pub epoch: u64,
-    /// Topology consistency at snapshot time: the region map holds its
-    /// structural invariants, references only existing nodes, and no
-    /// drained node is still routed. Folded into the run verdict.
-    pub topology_ok: bool,
-    /// Primary-write load per node.
-    pub node_writes: Vec<u64>,
-    pub node_reads: Vec<u64>,
-    /// The replication factor the operator asked for.
-    pub configured_replication: usize,
-    /// The factor actually applied (`min(configured, nodes)`).
-    pub effective_replication: usize,
-    /// Warning flag: the configured factor exceeded the node count, so
-    /// ingested data is stored with fewer copies than requested. The
-    /// TPCx-IoT replication prerequisite check must fail such a setup.
-    pub replication_clamped: bool,
-    /// Degraded-mode accounting (all zero on a fault-free run).
-    pub resilience: ResilienceStats,
-    /// Faults injected by the configured plan, if any.
-    pub faults: Option<crate::fault::FaultCounters>,
-    /// Storage-engine statistics summed across every node (WAL syncs,
-    /// flushes, compactions, block-cache hits/misses, ...).
-    pub engine: iotkv::DbStats,
+simkit::counters! {
+    /// Point-in-time cluster statistics. The leading counters are the
+    /// one declaration of the cluster's operation counters (cells, reset,
+    /// snapshot, merge and export lines derive from it, in this order);
+    /// the fields after them are gauges and nested snapshots.
+    #[derive(Clone, Debug, Default, PartialEq, Eq)]
+    pub struct ClusterStats, pub(crate) cells OpCells {
+        puts,
+        gets,
+        scans,
+        /// Kvps acknowledged through [`Cluster::put_batch`] (a subset of
+        /// `puts`).
+        batched_puts,
+        /// `put_batch` calls acknowledged — `batched_puts / put_batches` is
+        /// the mean batch fill.
+        put_batches,
+        /// Physical replica writes performed (puts × effective replication
+        /// when every replica is up).
+        replica_writes,
+        /// Rows yielded by streaming scans (all scans go through
+        /// [`Cluster::scan_stream`]).
+        rows_streamed;
+        pub regions: usize,
+        /// The routing-table version: bumped on every topology mutation
+        /// (split, migration finalize, rebalance, drain).
+        pub epoch: u64,
+        /// Topology consistency at snapshot time: the region map holds its
+        /// structural invariants, references only existing nodes, and no
+        /// drained node is still routed. Folded into the run verdict.
+        pub topology_ok: bool,
+        /// Primary-write load per node.
+        pub node_writes: Vec<u64>,
+        pub node_reads: Vec<u64>,
+        /// The replication factor the operator asked for.
+        pub configured_replication: usize,
+        /// The factor actually applied (`min(configured, nodes)`).
+        pub effective_replication: usize,
+        /// Warning flag: the configured factor exceeded the node count, so
+        /// ingested data is stored with fewer copies than requested. The
+        /// TPCx-IoT replication prerequisite check must fail such a setup.
+        pub replication_clamped: bool,
+        /// Degraded-mode accounting (all zero on a fault-free run).
+        pub resilience: ResilienceStats,
+        /// Faults injected by the configured plan, if any.
+        pub faults: Option<crate::fault::FaultCounters>,
+        /// Storage-engine statistics summed across every node (WAL syncs,
+        /// flushes, compactions, block-cache hits/misses, ...).
+        pub engine: iotkv::DbStats,
+    }
+}
+
+impl ClusterStats {
+    /// Mean kvps per acknowledged batch (0 when nothing was batched).
+    pub fn batch_fill(&self) -> f64 {
+        if self.put_batches == 0 {
+            0.0
+        } else {
+            self.batched_puts as f64 / self.put_batches as f64
+        }
+    }
+
+    /// Folds another sample of the same cluster in (e.g. across
+    /// iterations): counters add, per-node vectors add element-wise,
+    /// gauges keep the furthest value any sample saw. The replication
+    /// settings and `faults` stay this sample's.
+    pub fn merge(&mut self, other: &ClusterStats) {
+        fn add_per_node(mine: &mut Vec<u64>, theirs: &[u64]) {
+            if theirs.len() > mine.len() {
+                mine.resize(theirs.len(), 0);
+            }
+            for (a, &b) in mine.iter_mut().zip(theirs) {
+                *a += b;
+            }
+        }
+        self.add_counters(other);
+        self.resilience.add_counters(&other.resilience);
+        self.engine.accumulate(&other.engine);
+        add_per_node(&mut self.node_writes, &other.node_writes);
+        add_per_node(&mut self.node_reads, &other.node_reads);
+        self.regions = self.regions.max(other.regions);
+        // The merged epoch is the furthest routing version any sample
+        // saw; consistency must have held in *every* sample.
+        self.epoch = self.epoch.max(other.epoch);
+        self.topology_ok = self.topology_ok && other.topology_ok;
+    }
 }
 
 /// An in-process distributed gateway cluster.
@@ -211,27 +257,8 @@ pub struct Cluster {
     /// by the lock's release/acquire edge — to have its replica writes
     /// visible to the migration's later snapshot pin.
     pub(crate) migrations: RwLock<Vec<Arc<MigrationCtx>>>,
-    puts: AtomicU64,
-    gets: AtomicU64,
-    scans: AtomicU64,
-    batched_puts: AtomicU64,
-    put_batches: AtomicU64,
-    replica_writes: AtomicU64,
-    rows_streamed: AtomicU64,
-    failover_reads: AtomicU64,
-    under_replicated_writes: AtomicU64,
-    hinted_writes: AtomicU64,
-    replayed_hints: AtomicU64,
-    unavailable_errors: AtomicU64,
-    scan_retries: AtomicU64,
-    scan_resumes: AtomicU64,
-    pub(crate) splits: AtomicU64,
-    pub(crate) drains: AtomicU64,
-    pub(crate) migrations_started: AtomicU64,
-    pub(crate) migrations_completed: AtomicU64,
-    pub(crate) migrations_aborted: AtomicU64,
-    stale_route_retries: AtomicU64,
-    pub(crate) migration_throttled: AtomicU64,
+    pub(crate) ops: OpCells,
+    pub(crate) resilience: ResilienceCells,
 }
 
 impl Cluster {
@@ -276,27 +303,8 @@ impl Cluster {
             fault,
             topology,
             migrations: RwLock::new(Vec::new()),
-            puts: AtomicU64::new(0),
-            gets: AtomicU64::new(0),
-            scans: AtomicU64::new(0),
-            batched_puts: AtomicU64::new(0),
-            put_batches: AtomicU64::new(0),
-            replica_writes: AtomicU64::new(0),
-            rows_streamed: AtomicU64::new(0),
-            failover_reads: AtomicU64::new(0),
-            under_replicated_writes: AtomicU64::new(0),
-            hinted_writes: AtomicU64::new(0),
-            replayed_hints: AtomicU64::new(0),
-            unavailable_errors: AtomicU64::new(0),
-            scan_retries: AtomicU64::new(0),
-            scan_resumes: AtomicU64::new(0),
-            splits: AtomicU64::new(0),
-            drains: AtomicU64::new(0),
-            migrations_started: AtomicU64::new(0),
-            migrations_completed: AtomicU64::new(0),
-            migrations_aborted: AtomicU64::new(0),
-            stale_route_retries: AtomicU64::new(0),
-            migration_throttled: AtomicU64::new(0),
+            ops: OpCells::default(),
+            resilience: ResilienceCells::default(),
         })
     }
 
@@ -351,14 +359,18 @@ impl Cluster {
                 // ordering: Relaxed — statistics counters; reconciliation
                 // reads them through stats() snapshots only.
                 n.writes.fetch_add(1, Ordering::Relaxed);
-                self.replayed_hints.fetch_add(1, Ordering::Relaxed);
+                self.resilience
+                    .replayed_hints
+                    .fetch_add(1, Ordering::Relaxed);
             }
         }
     }
 
     fn unavailable(&self, msg: impl Into<String>) -> GatewayError {
         // ordering: Relaxed — statistics counter.
-        self.unavailable_errors.fetch_add(1, Ordering::Relaxed);
+        self.resilience
+            .unavailable_errors
+            .fetch_add(1, Ordering::Relaxed);
         GatewayError::Unavailable(msg.into())
     }
 
@@ -376,103 +388,229 @@ impl Cluster {
         self.config.effective_replication()
     }
 
-    /// Writes `key` to every live replica of its region, synchronously.
+    /// Writes `key` to every live replica of its region, synchronously:
+    /// a group of one through the write path described at
+    /// [`Cluster::put_batch`].
+    pub fn put(&self, key: &[u8], value: &[u8]) -> Result<()> {
+        self.replicate(&[(key, value)])
+    }
+
+    /// Writes a batch of kvps in one cluster operation: items are grouped
+    /// per region, fault judgment runs once per `(node, group)`, and each
+    /// live replica applies its group through a single storage-engine
+    /// [`WriteBatch`] — one WAL record and one group-commit slot per
+    /// group instead of one per kvp.
     ///
-    /// Degraded mode: down replicas are skipped and receive a hint
-    /// (replayed on restart); the write is acknowledged as long as at
-    /// least one replica is live. With every replica down — or when the
-    /// fault plan injects a transient error — the put fails with
-    /// [`GatewayError::Unavailable`] and nothing is acknowledged.
+    /// Degraded mode: down replicas are skipped and receive one hint per
+    /// kvp (replayed on restart); the call is acknowledged as long as
+    /// every group reached at least one live replica. A transient verdict
+    /// or a group with no live replica fails the whole call with
+    /// [`GatewayError::Unavailable`] *before* any replica write, so the
+    /// caller retries it as a unit from a clean slate.
     ///
     /// Topology fencing: the route is captured with the region map's
-    /// epoch; after the replica writes land, the write records itself in
-    /// any active migration delta covering `key` and re-checks the epoch.
-    /// A bumped epoch means the replica set may have changed under the
-    /// write (split finalize, migration, drain) — the put re-writes to
-    /// any replica it has not reached yet instead of acking a row that
-    /// only lives on a node the new topology no longer routes.
-    pub fn put(&self, key: &[u8], value: &[u8]) -> Result<()> {
-        let now = self.fault_tick();
-        let (epoch, region_id, replicas) = {
-            let map = self.regions.read();
-            let region = map.lookup(key);
-            (map.epoch(), region.id, region.replicas.clone())
-        };
-        let mut live = Vec::with_capacity(replicas.len());
-        let mut down = Vec::new();
-        if let Some(fault) = &self.fault {
-            for &node in &replicas {
-                self.maybe_replay_hints(node, now);
-                match fault.judge(node, key, now) {
-                    FaultVerdict::Ok => live.push(node),
-                    FaultVerdict::NodeDown => down.push(node),
-                    // Fail before any replica write so a retried put
-                    // re-runs from a clean slate.
-                    FaultVerdict::Transient => {
-                        return Err(self.unavailable(format!("transient fault on node {node}")))
-                    }
-                }
-            }
-            if live.is_empty() {
-                return Err(self.unavailable("no live replica for write"));
-            }
-        } else {
-            live.extend_from_slice(&replicas);
+    /// epoch; after the replica writes land, each kvp records itself in
+    /// any active migration delta covering its key and re-checks the
+    /// epoch. A bumped epoch means the replica set may have changed under
+    /// the write (split finalize, migration, drain) — the kvp is
+    /// re-written to any replica it has not reached yet instead of acking
+    /// a row that only lives on a node the new topology no longer routes.
+    pub fn put_batch(&self, items: &[(Bytes, Bytes)]) -> Result<()> {
+        if items.is_empty() {
+            return Ok(());
         }
-        // Count replica writes as they land, so the stats reconcile with
-        // per-node `writes` (and `node_db_stats`) even when a storage
-        // engine fails partway through the replica loop. `puts` is only
-        // bumped on full acknowledgement.
+        self.replicate(items)?;
+        // ordering: Relaxed — statistics counters.
+        self.ops
+            .batched_puts
+            .fetch_add(items.len() as u64, Ordering::Relaxed);
+        self.ops.put_batches.fetch_add(1, Ordering::Relaxed);
+        Ok(())
+    }
+
+    /// The one write path behind [`Cluster::put`] and
+    /// [`Cluster::put_batch`]: route and judge every group, then land
+    /// them, fence each kvp and account.
+    fn replicate<K: AsRef<[u8]>, V: AsRef<[u8]>>(&self, items: &[(K, V)]) -> Result<()> {
+        let now = self.fault_tick();
+        let (epoch, groups) = self.plan_write(items, now)?;
+        self.commit_write(items, epoch, &groups, now)
+    }
+
+    /// Lands a planned write and accounts for it. Replica writes are
+    /// counted as they land and added on this function's single exit, so
+    /// the stats reconcile with per-node `writes` (and `node_db_stats`)
+    /// even when a storage engine fails partway — in the replica loop or
+    /// in the fence. `puts` is only bumped on full acknowledgement.
+    fn commit_write<K: AsRef<[u8]>, V: AsRef<[u8]>>(
+        &self,
+        items: &[(K, V)],
+        epoch: u64,
+        groups: &[WriteGroup],
+        now: u64,
+    ) -> Result<()> {
         // ordering: Relaxed — every counter below is a statistic; the
         // reconciliation invariant is over stats() snapshots, not a
         // synchronization point, and the payload travels through the
         // storage engine's own write path.
         let mut written = 0u64;
-        for &node in &live {
-            let n = self.node(node);
-            if let Err(e) = n.db.put(key, value) {
-                self.replica_writes.fetch_add(written, Ordering::Relaxed);
-                return Err(e.into());
+        let landed = self.land_groups(items, groups, epoch, now, &mut written);
+        self.ops
+            .replica_writes
+            .fetch_add(written, Ordering::Relaxed);
+        landed?;
+        self.ops
+            .puts
+            .fetch_add(items.len() as u64, Ordering::Relaxed);
+        for group in groups {
+            if let Some(&last) = group.idxs.last() {
+                let count = group.idxs.len() as u64;
+                self.note_region_writes(group.region_id, count, items[last].0.as_ref());
             }
-            n.writes.fetch_add(1, Ordering::Relaxed);
-            written += 1;
         }
-        for &node in &down {
-            self.node(node)
-                .hints
-                .lock()
-                .push((key.to_vec(), value.to_vec()));
-            self.hinted_writes.fetch_add(1, Ordering::Relaxed);
-            self.under_replicated_writes.fetch_add(1, Ordering::Relaxed);
-        }
-        if self.fault.is_some() {
-            // Both handled sets fence the rewrite: a node that took the
-            // write directly or via hint needs no second copy.
-            let mut handled = live;
-            handled.extend_from_slice(&down);
-            written += self.fence_stale_route(key, value, epoch, &mut handled, now)?;
-        }
-        self.puts.fetch_add(1, Ordering::Relaxed);
-        self.replica_writes.fetch_add(written, Ordering::Relaxed);
-        self.note_region_writes(region_id, 1, key);
         Ok(())
     }
 
-    /// The epoch fence shared by `put` and `put_batch`: records the write
-    /// in active migration deltas, then re-checks the map epoch and
-    /// re-writes to any replica of the *current* route not in `handled`.
-    /// Loops until the epoch is stable — each pass either exits or
-    /// observes a strictly larger epoch, and a run performs finitely many
-    /// topology mutations, so the loop terminates.
-    fn fence_stale_route(
+    /// Groups `items` per region (in region-id order, deterministic for
+    /// the fault machinery) under one epoch, then judges every
+    /// `(node, group)` pair. Nothing is written here: the call is the
+    /// retry unit, so a verdict that fails it must come before any write.
+    fn plan_write<K: AsRef<[u8]>, V>(
         &self,
-        key: &[u8],
-        value: &[u8],
+        items: &[(K, V)],
+        now: u64,
+    ) -> Result<(u64, Vec<WriteGroup>)> {
+        let mut groups: Vec<WriteGroup> = Vec::new();
+        let epoch = {
+            let map = self.regions.read();
+            for (idx, (key, _)) in items.iter().enumerate() {
+                if key.as_ref().is_empty() {
+                    return Err(iotkv::Error::invalid("key must not be empty").into());
+                }
+                let region = map.lookup(key.as_ref());
+                match groups.iter_mut().find(|g| g.region_id == region.id) {
+                    Some(group) => group.idxs.push(idx),
+                    None => groups.push(WriteGroup {
+                        region_id: region.id,
+                        idxs: vec![idx],
+                        live: region.replicas.clone(),
+                        down: Vec::new(),
+                    }),
+                }
+            }
+            map.epoch()
+        };
+        groups.sort_unstable_by_key(|g| g.region_id);
+        if let Some(fault) = &self.fault {
+            for group in &mut groups {
+                let keys: Vec<&[u8]> = group.idxs.iter().map(|&i| items[i].0.as_ref()).collect();
+                for node in std::mem::take(&mut group.live) {
+                    self.maybe_replay_hints(node, now);
+                    match fault.judge_batch(node, &keys, now) {
+                        FaultVerdict::Ok => group.live.push(node),
+                        FaultVerdict::NodeDown => group.down.push(node),
+                        FaultVerdict::Transient => {
+                            return Err(self.unavailable(format!("transient fault on node {node}")))
+                        }
+                    }
+                }
+                if group.live.is_empty() {
+                    return Err(self.unavailable("no live replica for write"));
+                }
+            }
+        }
+        Ok((epoch, groups))
+    }
+
+    /// Lands every group on its live replicas, hints its down ones, then
+    /// runs the per-kvp epoch fence. Every replica write that lands is
+    /// added to `written`, whichever way this returns.
+    fn land_groups<K: AsRef<[u8]>, V: AsRef<[u8]>>(
+        &self,
+        items: &[(K, V)],
+        groups: &[WriteGroup],
+        epoch: u64,
+        now: u64,
+        written: &mut u64,
+    ) -> Result<()> {
+        for group in groups {
+            for &node in &group.live {
+                self.deliver(node, false, items, &group.idxs, written)?;
+            }
+            for &node in &group.down {
+                self.deliver(node, true, items, &group.idxs, written)?;
+            }
+        }
+        if self.fault.is_some() {
+            // The groups landed as units, but a concurrent topology change
+            // re-routes each key independently.
+            for group in groups {
+                for &i in &group.idxs {
+                    // Both handled sets fence the rewrite: a node that took
+                    // the write directly or via hint needs no second copy.
+                    let mut handled = group.live.clone();
+                    handled.extend_from_slice(&group.down);
+                    self.fence_stale_route(items, i, epoch, &mut handled, now, written)?;
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Hands the kvps `items[idxs]` to `node`: one storage batch when it
+    /// is up, one hint per kvp (replayed on restart) when it is down.
+    fn deliver<K: AsRef<[u8]>, V: AsRef<[u8]>>(
+        &self,
+        node: usize,
+        down: bool,
+        items: &[(K, V)],
+        idxs: &[usize],
+        written: &mut u64,
+    ) -> Result<()> {
+        let kvps = idxs
+            .iter()
+            .map(|&i| (items[i].0.as_ref(), items[i].1.as_ref()));
+        let count = idxs.len() as u64;
+        let n = self.node(node);
+        // ordering: Relaxed — statistics counters (see commit_write()).
+        if down {
+            n.hints
+                .lock()
+                .extend(kvps.map(|(k, v)| (k.to_vec(), v.to_vec())));
+            self.resilience
+                .hinted_writes
+                .fetch_add(count, Ordering::Relaxed);
+            self.resilience
+                .under_replicated_writes
+                .fetch_add(count, Ordering::Relaxed);
+        } else {
+            let mut batch = WriteBatch::new();
+            for (key, value) in kvps {
+                batch.put(key, value);
+            }
+            n.db.write(batch)?;
+            n.writes.fetch_add(count, Ordering::Relaxed);
+            *written += count;
+        }
+        Ok(())
+    }
+
+    /// The epoch fence of one kvp: records the write in active migration
+    /// deltas, then re-checks the map epoch and re-delivers to any replica
+    /// of the *current* route not in `handled`. Loops until the epoch is
+    /// stable — each pass either exits or observes a strictly larger
+    /// epoch, and a run performs finitely many topology mutations, so the
+    /// loop terminates.
+    fn fence_stale_route<K: AsRef<[u8]>, V: AsRef<[u8]>>(
+        &self,
+        items: &[(K, V)],
+        idx: usize,
         mut epoch: u64,
         handled: &mut Vec<usize>,
         now: u64,
-    ) -> Result<u64> {
-        let mut written = 0u64;
+        written: &mut u64,
+    ) -> Result<()> {
+        let (key, value) = (items[idx].0.as_ref(), items[idx].1.as_ref());
         loop {
             self.capture_migration_delta(key, value);
             let (new_epoch, new_replicas) = {
@@ -480,7 +618,7 @@ impl Cluster {
                 (map.epoch(), map.lookup(key).replicas.clone())
             };
             if new_epoch == epoch {
-                return Ok(written);
+                return Ok(());
             }
             epoch = new_epoch;
             let missing: Vec<usize> = new_replicas
@@ -492,25 +630,12 @@ impl Cluster {
                 continue; // re-check: the epoch moved again mid-read
             }
             // ordering: Relaxed — statistics counter.
-            self.stale_route_retries.fetch_add(1, Ordering::Relaxed);
+            self.resilience
+                .stale_route_retries
+                .fetch_add(1, Ordering::Relaxed);
             for &node in &missing {
                 handled.push(node);
-                if self.node_down(node, now) {
-                    self.node(node)
-                        .hints
-                        .lock()
-                        .push((key.to_vec(), value.to_vec()));
-                    self.hinted_writes.fetch_add(1, Ordering::Relaxed);
-                    self.under_replicated_writes.fetch_add(1, Ordering::Relaxed);
-                } else {
-                    let n = self.node(node);
-                    if let Err(e) = n.db.put(key, value) {
-                        self.replica_writes.fetch_add(written, Ordering::Relaxed);
-                        return Err(e.into());
-                    }
-                    n.writes.fetch_add(1, Ordering::Relaxed);
-                    written += 1;
-                }
+                self.deliver(node, self.node_down(node, now), items, &[idx], written)?;
             }
         }
     }
@@ -529,121 +654,6 @@ impl Cluster {
         }
     }
 
-    /// Writes a batch of kvps in one cluster operation: items are grouped
-    /// per region, fault judgment runs once per `(node, group)`, and each
-    /// live replica applies its group through a single storage-engine
-    /// [`WriteBatch`] — one WAL record and one group-commit slot per
-    /// group instead of one per kvp.
-    ///
-    /// Failure semantics mirror [`Cluster::put`], at batch granularity:
-    /// a transient verdict or a group with no live replica fails the
-    /// whole batch with [`GatewayError::Unavailable`] *before* any
-    /// replica write, so the caller retries the batch as a unit from a
-    /// clean slate. Down replicas are hinted per kvp; the batch is
-    /// acknowledged as long as every group reached at least one live
-    /// replica.
-    pub fn put_batch(&self, items: &[(Bytes, Bytes)]) -> Result<()> {
-        if items.is_empty() {
-            return Ok(());
-        }
-        let now = self.fault_tick();
-        // Group item indices per region id; BTreeMap keeps group order
-        // deterministic for the fault machinery.
-        let mut groups: BTreeMap<u64, (Vec<usize>, Vec<usize>)> = BTreeMap::new();
-        let epoch;
-        {
-            let map = self.regions.read();
-            epoch = map.epoch();
-            for (idx, (key, _)) in items.iter().enumerate() {
-                let region = map.lookup(key);
-                groups
-                    .entry(region.id)
-                    .or_insert_with(|| (region.replicas.clone(), Vec::new()))
-                    .1
-                    .push(idx);
-            }
-        }
-        // Judge every (node, group) pair before any write: the batch is
-        // the retry unit, so nothing may land if the batch fails.
-        let mut plans: Vec<(&Vec<usize>, Vec<usize>, Vec<usize>)> =
-            Vec::with_capacity(groups.len());
-        for (replicas, idxs) in groups.values() {
-            let mut live = Vec::with_capacity(replicas.len());
-            let mut down = Vec::new();
-            if let Some(fault) = &self.fault {
-                let keys: Vec<&[u8]> = idxs.iter().map(|&i| items[i].0.as_ref()).collect();
-                for &node in replicas {
-                    self.maybe_replay_hints(node, now);
-                    match fault.judge_batch(node, &keys, now) {
-                        FaultVerdict::Ok => live.push(node),
-                        FaultVerdict::NodeDown => down.push(node),
-                        FaultVerdict::Transient => {
-                            return Err(self.unavailable(format!("transient fault on node {node}")))
-                        }
-                    }
-                }
-                if live.is_empty() {
-                    return Err(self.unavailable("no live replica for batched write"));
-                }
-            } else {
-                live.extend_from_slice(replicas);
-            }
-            plans.push((idxs, live, down));
-        }
-        // ordering: Relaxed — every counter below is a statistic (see put()).
-        let mut written = 0u64;
-        for (idxs, live, down) in &plans {
-            for &node in live {
-                let mut batch = WriteBatch::new();
-                for &i in idxs.iter() {
-                    batch.put(&items[i].0, &items[i].1);
-                }
-                let n = self.node(node);
-                if let Err(e) = n.db.write(batch) {
-                    self.replica_writes.fetch_add(written, Ordering::Relaxed);
-                    return Err(e.into());
-                }
-                n.writes.fetch_add(idxs.len() as u64, Ordering::Relaxed);
-                written += idxs.len() as u64;
-            }
-            for &node in down {
-                let n = self.node(node);
-                let mut hints = n.hints.lock();
-                for &i in idxs.iter() {
-                    hints.push((items[i].0.to_vec(), items[i].1.to_vec()));
-                }
-                self.hinted_writes
-                    .fetch_add(idxs.len() as u64, Ordering::Relaxed);
-                self.under_replicated_writes
-                    .fetch_add(idxs.len() as u64, Ordering::Relaxed);
-            }
-        }
-        if self.fault.is_some() {
-            // Per-kvp epoch fence (see put()): the batch landed as one
-            // unit, but a concurrent topology change re-routes each key
-            // independently.
-            for (idxs, live, down) in &plans {
-                for &i in idxs.iter() {
-                    let mut handled = live.clone();
-                    handled.extend_from_slice(down);
-                    written +=
-                        self.fence_stale_route(&items[i].0, &items[i].1, epoch, &mut handled, now)?;
-                }
-            }
-        }
-        for (region_id, (_, idxs)) in &groups {
-            if let Some(&last) = idxs.last() {
-                self.note_region_writes(*region_id, idxs.len() as u64, &items[last].0);
-            }
-        }
-        self.puts.fetch_add(items.len() as u64, Ordering::Relaxed);
-        self.batched_puts
-            .fetch_add(items.len() as u64, Ordering::Relaxed);
-        self.put_batches.fetch_add(1, Ordering::Relaxed);
-        self.replica_writes.fetch_add(written, Ordering::Relaxed);
-        Ok(())
-    }
-
     /// Reads `key` from its region's primary, failing over to the first
     /// live replica when the primary is down.
     pub fn get(&self, key: &[u8]) -> Result<Option<Bytes>> {
@@ -657,7 +667,7 @@ impl Cluster {
         let n = self.node(node);
         // ordering: Relaxed — statistics counters.
         n.reads.fetch_add(1, Ordering::Relaxed);
-        self.gets.fetch_add(1, Ordering::Relaxed);
+        self.ops.gets.fetch_add(1, Ordering::Relaxed);
         Ok(n.db.get(key)?)
     }
 
@@ -690,7 +700,9 @@ impl Cluster {
             FaultVerdict::Ok => {
                 if node != primary {
                     // ordering: Relaxed — statistics counter.
-                    self.failover_reads.fetch_add(1, Ordering::Relaxed);
+                    self.resilience
+                        .failover_reads
+                        .fetch_add(1, Ordering::Relaxed);
                 }
                 Ok(node)
             }
@@ -737,7 +749,7 @@ impl Cluster {
     /// The scan fails only when a region has no live replica at all.
     pub fn scan_stream(&self, start: &[u8], end: &[u8]) -> ClusterScan<'_> {
         // ordering: Relaxed — statistics counter.
-        self.scans.fetch_add(1, Ordering::Relaxed);
+        self.ops.scans.fetch_add(1, Ordering::Relaxed);
         let targets: Vec<ScanTarget> = if start >= end {
             Vec::new()
         } else {
@@ -798,8 +810,6 @@ impl Cluster {
     /// storage directories, and restarts every storage engine. Counters
     /// reset too — the next iteration starts from identical conditions.
     pub fn purge(&mut self) -> Result<()> {
-        // ordering: Relaxed — counter resets; purge holds &mut self, so no
-        // concurrent operation can observe a torn reset.
         let storage = self.config.storage.clone();
         {
             let mut nodes = self.nodes.write();
@@ -824,27 +834,8 @@ impl Cluster {
             }
         }
         self.reset_topology();
-        self.puts.store(0, Ordering::Relaxed);
-        self.gets.store(0, Ordering::Relaxed);
-        self.scans.store(0, Ordering::Relaxed);
-        self.batched_puts.store(0, Ordering::Relaxed);
-        self.put_batches.store(0, Ordering::Relaxed);
-        self.replica_writes.store(0, Ordering::Relaxed);
-        self.rows_streamed.store(0, Ordering::Relaxed);
-        self.failover_reads.store(0, Ordering::Relaxed);
-        self.under_replicated_writes.store(0, Ordering::Relaxed);
-        self.hinted_writes.store(0, Ordering::Relaxed);
-        self.replayed_hints.store(0, Ordering::Relaxed);
-        self.unavailable_errors.store(0, Ordering::Relaxed);
-        self.scan_retries.store(0, Ordering::Relaxed);
-        self.scan_resumes.store(0, Ordering::Relaxed);
-        self.splits.store(0, Ordering::Relaxed);
-        self.drains.store(0, Ordering::Relaxed);
-        self.migrations_started.store(0, Ordering::Relaxed);
-        self.migrations_completed.store(0, Ordering::Relaxed);
-        self.migrations_aborted.store(0, Ordering::Relaxed);
-        self.stale_route_retries.store(0, Ordering::Relaxed);
-        self.migration_throttled.store(0, Ordering::Relaxed);
+        self.ops.reset();
+        self.resilience.reset();
         // Restart the fault plan too: each iteration faces the same
         // schedule, so warm-up and measured runs degrade identically.
         self.fault = self
@@ -862,42 +853,18 @@ impl Cluster {
 
     /// Degraded-mode counters only (a cheap subset of [`Cluster::stats`]).
     pub fn resilience(&self) -> ResilienceStats {
-        // ordering: Relaxed — statistics snapshot; counters are independent
-        // tallies, not a consistency point.
-        ResilienceStats {
-            failover_reads: self.failover_reads.load(Ordering::Relaxed),
-            under_replicated_writes: self.under_replicated_writes.load(Ordering::Relaxed),
-            hinted_writes: self.hinted_writes.load(Ordering::Relaxed),
-            replayed_hints: self.replayed_hints.load(Ordering::Relaxed),
-            unavailable_errors: self.unavailable_errors.load(Ordering::Relaxed),
-            scan_retries: self.scan_retries.load(Ordering::Relaxed),
-            scan_resumes: self.scan_resumes.load(Ordering::Relaxed),
-            splits: self.splits.load(Ordering::Relaxed),
-            drains: self.drains.load(Ordering::Relaxed),
-            migrations_started: self.migrations_started.load(Ordering::Relaxed),
-            migrations_completed: self.migrations_completed.load(Ordering::Relaxed),
-            migrations_aborted: self.migrations_aborted.load(Ordering::Relaxed),
-            stale_route_retries: self.stale_route_retries.load(Ordering::Relaxed),
-            migration_throttled: self.migration_throttled.load(Ordering::Relaxed),
-        }
+        self.resilience.load()
     }
 
     pub fn stats(&self) -> ClusterStats {
-        // ordering: Relaxed — statistics snapshot (see resilience()); the
-        // replica-writes reconciliation tolerates in-flight operations.
+        // ordering: Relaxed — statistics snapshot; the replica-writes
+        // reconciliation tolerates in-flight operations.
         let nodes: Vec<Arc<Node>> = self.nodes.read().iter().map(Arc::clone).collect();
         let (regions, epoch) = {
             let map = self.regions.read();
             (map.len(), map.epoch())
         };
         ClusterStats {
-            puts: self.puts.load(Ordering::Relaxed),
-            gets: self.gets.load(Ordering::Relaxed),
-            scans: self.scans.load(Ordering::Relaxed),
-            batched_puts: self.batched_puts.load(Ordering::Relaxed),
-            put_batches: self.put_batches.load(Ordering::Relaxed),
-            replica_writes: self.replica_writes.load(Ordering::Relaxed),
-            rows_streamed: self.rows_streamed.load(Ordering::Relaxed),
             regions,
             epoch,
             topology_ok: self.topology_consistent(),
@@ -921,8 +888,20 @@ impl Cluster {
                 }
                 engine
             },
+            ..self.ops.load()
         }
     }
+}
+
+/// One region's share of a write: the kvps routed to it and its replica
+/// set, split by the fault judge into the nodes that take the write and
+/// the nodes that take hints.
+struct WriteGroup {
+    region_id: u64,
+    /// Indices into the caller's items, in caller order.
+    idxs: Vec<usize>,
+    live: Vec<usize>,
+    down: Vec<usize>,
 }
 
 /// One region's slice of a streaming scan.
@@ -997,7 +976,10 @@ impl ClusterScan<'_> {
                                 );
                             }
                             // ordering: Relaxed — statistics counter.
-                            cluster.scan_retries.fetch_add(1, Ordering::Relaxed);
+                            cluster
+                                .resilience
+                                .scan_retries
+                                .fetch_add(1, Ordering::Relaxed);
                         }
                     }
                 }
@@ -1006,10 +988,16 @@ impl ClusterScan<'_> {
         };
         // ordering: Relaxed — statistics counters.
         if node != target.primary {
-            cluster.failover_reads.fetch_add(1, Ordering::Relaxed);
+            cluster
+                .resilience
+                .failover_reads
+                .fetch_add(1, Ordering::Relaxed);
         }
         if resume {
-            cluster.scan_resumes.fetch_add(1, Ordering::Relaxed);
+            cluster
+                .resilience
+                .scan_resumes
+                .fetch_add(1, Ordering::Relaxed);
         }
         let n = cluster.node(node);
         n.reads.fetch_add(1, Ordering::Relaxed);
@@ -1114,6 +1102,7 @@ impl Drop for ClusterScan<'_> {
         // ordering: Relaxed — statistics counter; credited once per scan at
         // drop so partially consumed scans still account their rows.
         self.cluster
+            .ops
             .rows_streamed
             .fetch_add(self.rows_streamed, Ordering::Relaxed);
     }
@@ -1511,16 +1500,166 @@ mod tests {
         destroy(c);
     }
 
+    /// Walks the counter declarations: every declared cell is read by
+    /// the snapshot under its own name and zeroed by `purge`.
     #[test]
-    fn purge_resets_batch_counters() {
-        let mut c = small_cluster("batch-purge", 2, &[]);
-        let items: Vec<(Bytes, Bytes)> = vec![(Bytes::from_static(b"a"), Bytes::from_static(b"v"))];
-        c.put_batch(&items).unwrap();
-        assert_eq!(c.stats().put_batches, 1);
+    fn every_declared_counter_is_snapshotted_and_zeroed_by_purge() {
+        let mut c = small_cluster("counter-walk", 2, &[]);
+        for (i, (_, cell)) in c.ops.cells().chain(c.resilience.cells()).enumerate() {
+            cell.store(i as u64 + 1, Ordering::Relaxed);
+        }
+        let stats = c.stats();
+        let cells: Vec<&str> = c
+            .ops
+            .cells()
+            .chain(c.resilience.cells())
+            .map(|(name, _)| name)
+            .collect();
+        let seen: Vec<(&str, u64)> = stats
+            .counters()
+            .chain(stats.resilience.counters())
+            .collect();
+        assert_eq!(seen.len(), cells.len());
+        for (i, (&cell, &(name, v))) in cells.iter().zip(&seen).enumerate() {
+            assert_eq!(cell, name);
+            assert_eq!(v, i as u64 + 1, "{name} reads its own cell");
+        }
+        assert_eq!(c.resilience(), stats.resilience);
         c.purge().unwrap();
         let stats = c.stats();
-        assert_eq!(stats.batched_puts, 0);
-        assert_eq!(stats.put_batches, 0);
+        for (name, v) in stats.counters().chain(stats.resilience.counters()) {
+            assert_eq!(v, 0, "{name} survives purge");
+        }
+        destroy(c);
+    }
+
+    #[test]
+    fn batch_fill_is_mean_kvps_per_batch() {
+        let mut s = ClusterStats {
+            batched_puts: 48,
+            put_batches: 3,
+            ..Default::default()
+        };
+        assert_eq!(s.batch_fill(), 16.0);
+        s.merge(&ClusterStats {
+            batched_puts: 16,
+            put_batches: 1,
+            ..Default::default()
+        });
+        assert_eq!(s.batch_fill(), 16.0);
+        assert_eq!(ClusterStats::default().batch_fill(), 0.0);
+    }
+
+    #[test]
+    fn merge_tracks_epoch_and_topology_health() {
+        let sample = |epoch, topology_ok, splits, node_writes: &[u64]| ClusterStats {
+            epoch,
+            topology_ok,
+            node_writes: node_writes.to_vec(),
+            resilience: ResilienceStats {
+                splits,
+                ..Default::default()
+            },
+            ..Default::default()
+        };
+        let mut a = sample(3, true, 1, &[5, 5]);
+        a.merge(&sample(7, true, 2, &[1, 1, 4]));
+        assert_eq!(a.epoch, 7, "epoch merges as max, not sum");
+        assert_eq!(a.resilience.splits, 3);
+        assert_eq!(a.node_writes, vec![6, 6, 4], "per-node vectors widen");
+        assert!(a.topology_ok);
+        a.merge(&sample(5, false, 0, &[]));
+        assert_eq!(a.epoch, 7);
+        assert!(!a.topology_ok, "one bad sample poisons the merge");
+    }
+
+    /// A put is a group of one: `put(k, v)` and `put_batch(&[(k, v)])`
+    /// under the same seeded plan take the same verdicts, leave the same
+    /// rows on every node and count the same, except for the two batch
+    /// counters.
+    #[test]
+    fn put_and_one_item_put_batch_are_the_same_write() {
+        use crate::fault::FaultPlan;
+        let plan = FaultPlan::quiet(77)
+            .with_crash(1, 40, Some(60))
+            .with_transient(0.3, 2)
+            .with_split(150, "k0120");
+        let run = |name: &str, batched: bool| {
+            let mut config = ClusterConfig::new(tmpdir(name), 3);
+            config.storage = Options::small();
+            config.fault_plan = Some(plan.clone());
+            let c = Cluster::start(config).unwrap();
+            let mut errors = Vec::new();
+            for i in 0..200 {
+                let key = format!("k{i:04}");
+                loop {
+                    let outcome = if batched {
+                        c.put_batch(&[(Bytes::from(key.clone()), Bytes::from_static(b"v"))])
+                    } else {
+                        c.put(key.as_bytes(), b"v")
+                    };
+                    match outcome {
+                        Ok(()) => break,
+                        Err(e) => errors.push(format!("{key}: {e}")),
+                    }
+                }
+            }
+            let rows: Vec<_> = (0..c.node_count())
+                .map(|n| c.node(n).db.scan(b"k", b"l", usize::MAX).unwrap())
+                .collect();
+            let mut stats = c.stats();
+            stats.engine.stalls = 0; // wall-clock time, not a count
+            destroy(c);
+            (errors, rows, stats)
+        };
+        let (put_errors, put_rows, put_stats) = run("twin-put", false);
+        let (batch_errors, batch_rows, mut batch_stats) = run("twin-batch", true);
+        assert!(!put_errors.is_empty(), "the plan must inject something");
+        assert_eq!(put_errors, batch_errors);
+        assert_eq!(put_rows, batch_rows);
+        assert!(put_stats.resilience.hinted_writes > 0, "crash window hit");
+        assert_eq!(put_stats.resilience.splits, 1, "scheduled split fired");
+        assert_eq!((put_stats.batched_puts, put_stats.put_batches), (0, 0));
+        assert_eq!(
+            (batch_stats.batched_puts, batch_stats.put_batches),
+            (200, 200)
+        );
+        batch_stats.batched_puts = 0;
+        batch_stats.put_batches = 0;
+        assert_eq!(put_stats, batch_stats);
+    }
+
+    #[test]
+    fn failed_fence_rewrite_keeps_counters_reconciled() {
+        use crate::fault::FaultPlan;
+        // Regression: a write whose epoch-fence rewrite failed returned
+        // without counting the replica writes that had already landed.
+        let mut config = ClusterConfig::new(tmpdir("fence-fail"), 4);
+        config.storage = Options::small();
+        config.fault_plan = Some(FaultPlan::quiet(5)); // arms the fence
+        let c = Cluster::start(config).unwrap();
+        c.put(b"k1", b"v").unwrap();
+        // Route k2 at the current epoch, then move the region's replica
+        // on node 0 to node 3 and break node 3's engine (see
+        // partial_replica_failure_keeps_counters_reconciled): the fence
+        // finds node 3 missing from the write and its rewrite fails.
+        let items = [(b"k2".as_slice(), b"v".as_slice())];
+        let now = c.fault_tick();
+        let (epoch, groups) = c.plan_write(&items, now).unwrap();
+        assert!(c.migrate_replica(groups[0].region_id, 0, 3));
+        std::fs::remove_dir_all(c.config().data_dir.join("node-3")).unwrap();
+        c.node(3).db.flush().unwrap();
+        let err = c.commit_write(&items, epoch, &groups, now).unwrap_err();
+        assert!(matches!(err, GatewayError::Storage(_)), "got {err}");
+        let stats = c.stats();
+        assert_eq!(stats.puts, 1, "the failed put was not acknowledged");
+        assert_eq!(stats.resilience.stale_route_retries, 1);
+        assert_eq!(stats.node_writes, vec![2, 2, 2, 0]);
+        assert_eq!(
+            stats.replica_writes,
+            stats.node_writes.iter().sum::<u64>(),
+            "replica_writes must reconcile with per-node writes"
+        );
         destroy(c);
     }
 

@@ -183,17 +183,19 @@ impl FaultPlan {
     }
 }
 
-/// Counters describing the faults actually injected.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct FaultCounters {
-    /// Transient `Unavailable` errors injected.
-    pub transient_errors: u64,
-    /// Operations rejected because the addressed node was down.
-    pub down_rejections: u64,
-    /// Operations delayed by latency injection.
-    pub delayed_ops: u64,
-    /// Planned topology events (splits, node adds, drains) that fired.
-    pub topology_events: u64,
+simkit::counters! {
+    /// Counters describing the faults actually injected.
+    #[derive(Clone, Debug, Default, PartialEq, Eq)]
+    pub struct FaultCounters, cells FaultCells {
+        /// Transient `Unavailable` errors injected.
+        transient_errors,
+        /// Operations rejected because the addressed node was down.
+        down_rejections,
+        /// Operations delayed by latency injection.
+        delayed_ops,
+        /// Planned topology events (splits, node adds, drains) that fired.
+        topology_events,
+    }
 }
 
 /// What the fault layer decides about one operation on one node.
@@ -221,20 +223,7 @@ pub struct FaultState {
     plan: FaultPlan,
     ops: AtomicU64,
     nodes: Vec<NodeFaults>,
-    transient_errors: AtomicU64,
-    down_rejections: AtomicU64,
-    delayed_ops: AtomicU64,
-    topology_events: AtomicU64,
-}
-
-/// FNV-1a over the key bytes — stable across runs and platforms.
-fn hash_key(key: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in key {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
+    injected: FaultCells,
 }
 
 impl FaultState {
@@ -264,10 +253,7 @@ impl FaultState {
             plan,
             ops: AtomicU64::new(0),
             nodes,
-            transient_errors: AtomicU64::new(0),
-            down_rejections: AtomicU64::new(0),
-            delayed_ops: AtomicU64::new(0),
-            topology_events: AtomicU64::new(0),
+            injected: FaultCells::default(),
         }
     }
 
@@ -294,7 +280,9 @@ impl FaultState {
     /// Records one fired topology event.
     pub fn note_topology_event(&self) {
         // ordering: Relaxed — statistics counter.
-        self.topology_events.fetch_add(1, Ordering::Relaxed);
+        self.injected
+            .topology_events
+            .fetch_add(1, Ordering::Relaxed);
     }
 
     /// Whether `node` is down at global operation `now` — a pure function
@@ -325,14 +313,14 @@ impl FaultState {
     }
 
     /// Judges one operation on `node` at global op `now`, applying
-    /// latency injection as a side effect.
+    /// latency injection as a side effect: a group of one.
     pub fn judge(&self, node: usize, key: &[u8], now: u64) -> FaultVerdict {
-        self.judge_hashed(node, hash_key(key), now)
+        self.judge_batch(node, &[key], now)
     }
 
     /// Judges one *batched* operation: the whole group of keys headed for
-    /// `node` gets a single verdict, keyed on the combined FNV hash of
-    /// every key in order. One judgment (and at most one transient burst
+    /// `node` gets a single verdict, keyed on the combined FNV-1a hash of
+    /// every key in order (stable across runs and platforms). One judgment (and at most one transient burst
     /// entry) per `(node, group)` — batching amortises fault exposure the
     /// same way it amortises WAL records.
     pub fn judge_batch(&self, node: usize, keys: &[&[u8]], now: u64) -> FaultVerdict {
@@ -343,23 +331,19 @@ impl FaultState {
                 h = h.wrapping_mul(0x100_0000_01b3);
             }
         }
-        self.judge_hashed(node, h, now)
-    }
-
-    /// Shared verdict logic for single and batched judgments, keyed on a
-    /// pre-computed hash.
-    fn judge_hashed(&self, node: usize, h: u64, now: u64) -> FaultVerdict {
         if self.node_down(node, now) {
             // ordering: Release — pairs with take_restart()'s AcqRel swap so
             // the restart edge is observed after the down verdict that set it.
             self.nodes[node].was_down.store(true, Ordering::Release);
             // ordering: Relaxed — statistics counter.
-            self.down_rejections.fetch_add(1, Ordering::Relaxed);
+            self.injected
+                .down_rejections
+                .fetch_add(1, Ordering::Relaxed);
             return FaultVerdict::NodeDown;
         }
         if self.plan.added_latency > Duration::ZERO && self.plan.slow_nodes.contains(&node) {
             // ordering: Relaxed — statistics counter.
-            self.delayed_ops.fetch_add(1, Ordering::Relaxed);
+            self.injected.delayed_ops.fetch_add(1, Ordering::Relaxed);
             std::thread::sleep(self.plan.added_latency);
         }
         if self.plan.transient_fraction > 0.0 {
@@ -373,7 +357,9 @@ impl FaultState {
                 if *seen < burst {
                     *seen += 1;
                     // ordering: Relaxed — statistics counter.
-                    self.transient_errors.fetch_add(1, Ordering::Relaxed);
+                    self.injected
+                        .transient_errors
+                        .fetch_add(1, Ordering::Relaxed);
                     return FaultVerdict::Transient;
                 }
                 // Burst exhausted; drop the entry to bound memory.
@@ -387,19 +373,13 @@ impl FaultState {
     /// cluster replays that node's hinted writes on this edge.
     pub fn take_restart(&self, node: usize, now: u64) -> bool {
         // ordering: AcqRel — the Acquire half pairs with the Release store in
-        // judge_hashed so this edge happens-after the down verdict; the
+        // judge_batch so this edge happens-after the down verdict; the
         // Release half lets exactly one caller win the swap and replay hints.
         !self.node_down(node, now) && self.nodes[node].was_down.swap(false, Ordering::AcqRel)
     }
 
     pub fn counters(&self) -> FaultCounters {
-        // ordering: Relaxed — statistics snapshot.
-        FaultCounters {
-            transient_errors: self.transient_errors.load(Ordering::Relaxed),
-            down_rejections: self.down_rejections.load(Ordering::Relaxed),
-            delayed_ops: self.delayed_ops.load(Ordering::Relaxed),
-            topology_events: self.topology_events.load(Ordering::Relaxed),
-        }
+        self.injected.load()
     }
 }
 

@@ -182,29 +182,6 @@ impl KvStore for GatewayKvStore {
         self.cluster.delete(&k).map_err(backend)
     }
 
-    fn scan(
-        &self,
-        table: &str,
-        start_key: &str,
-        count: usize,
-        fields: Option<&[String]>,
-    ) -> StoreResult<Vec<(String, FieldMap)>> {
-        let lo = Self::storage_key(table, start_key);
-        let mut hi = escape_table(table);
-        let prefix_len = hi.len() + 1;
-        hi.push(b'/' + 1); // first key after the table's prefix space
-        let rows = self.cluster.scan(&lo, &hi, count).map_err(backend)?;
-        rows.into_iter()
-            .map(|(k, v)| {
-                let key = String::from_utf8(k[prefix_len..].to_vec())
-                    .map_err(|_| StoreError::Backend("non-utf8 key".into()))?;
-                let row = decode_fields(&v)
-                    .ok_or_else(|| StoreError::Backend("undecodable row".into()))?;
-                Ok((key, project(row, fields)))
-            })
-            .collect()
-    }
-
     fn scan_visit(
         &self,
         table: &str,

@@ -212,7 +212,7 @@ impl Cluster {
         let id = self.regions.write().split_at(split_key);
         if id.is_some() {
             // ordering: Relaxed — statistics counter.
-            self.splits.fetch_add(1, Ordering::Relaxed);
+            self.resilience.splits.fetch_add(1, Ordering::Relaxed);
             if let Some(topo) = &self.topology {
                 // Region bounds changed; restart rate tracking from a
                 // clean slate rather than splitting on stale counts.
@@ -298,7 +298,7 @@ impl Cluster {
     /// so scans opened before the drain finish exactly-once.
     pub fn drain_node(&self, node: usize) -> Result<()> {
         // ordering: Relaxed — statistics counter.
-        self.drains.fetch_add(1, Ordering::Relaxed);
+        self.resilience.drains.fetch_add(1, Ordering::Relaxed);
         let now = self.fault.as_ref().map_or(0, |f| f.now());
         let region_ids = self.regions.read().regions_on(node);
         for region_id in region_ids {
@@ -351,7 +351,9 @@ impl Cluster {
     /// swap was published.
     pub(crate) fn migrate_replica(&self, region_id: u64, victim: usize, dest: usize) -> bool {
         // ordering: Relaxed — statistics counters here and below.
-        self.migrations_started.fetch_add(1, Ordering::Relaxed);
+        self.resilience
+            .migrations_started
+            .fetch_add(1, Ordering::Relaxed);
         let now = self.fault.as_ref().map_or(0, |f| f.now());
         let bounds = {
             let map = self.regions.read();
@@ -360,14 +362,18 @@ impl Cluster {
                     (r.start.clone(), r.end.clone(), r.replicas.clone())
                 }
                 _ => {
-                    self.migrations_aborted.fetch_add(1, Ordering::Relaxed);
+                    self.resilience
+                        .migrations_aborted
+                        .fetch_add(1, Ordering::Relaxed);
                     return false;
                 }
             }
         };
         let (start, end, replicas) = bounds;
         if self.node_down(dest, now) {
-            self.migrations_aborted.fetch_add(1, Ordering::Relaxed);
+            self.resilience
+                .migrations_aborted
+                .fetch_add(1, Ordering::Relaxed);
             return false;
         }
         // Register the delta *before* pinning the snapshot: a fenced
@@ -384,13 +390,17 @@ impl Cluster {
         let copied = self.copy_region_rows(&start, &end, &replicas, dest);
         let finalized = copied && self.finalize_migration(&ctx, victim);
         if finalized {
-            self.migrations_completed.fetch_add(1, Ordering::Relaxed);
+            self.resilience
+                .migrations_completed
+                .fetch_add(1, Ordering::Relaxed);
         } else {
             let mut delta = ctx.delta.lock();
             delta.active = false;
             delta.rows.clear();
             drop(delta);
-            self.migrations_aborted.fetch_add(1, Ordering::Relaxed);
+            self.resilience
+                .migrations_aborted
+                .fetch_add(1, Ordering::Relaxed);
         }
         self.migrations.write().retain(|c| !Arc::ptr_eq(c, &ctx));
         finalized
@@ -442,7 +452,9 @@ impl Cluster {
                 if budget > 0 && chunks_since_pause >= budget {
                     chunks_since_pause = 0;
                     // ordering: Relaxed — statistics counter.
-                    self.migration_throttled.fetch_add(1, Ordering::Relaxed);
+                    self.resilience
+                        .migration_throttled
+                        .fetch_add(1, Ordering::Relaxed);
                     if !self.config.migration_pacing.is_zero() {
                         std::thread::sleep(self.config.migration_pacing);
                     }

@@ -1,21 +1,15 @@
 //! Compaction: picking what to merge and streaming the merge.
 //!
-//! Two strategies are implemented (selected by
-//! [`crate::Options::compaction`]):
+//! Compaction is leveled: L0 is due when it holds `l0_compaction_trigger`
+//! tables and compacts whole into L1; level *n* ≥ 1 is due when its byte
+//! size exceeds `l1_bytes · multiplier^(n-1)` and moves **one** file (plus
+//! the L(n+1) files it overlaps) into L(n+1). Of the due levels the one
+//! furthest over its trigger goes first, and within a level ≥ 1 the file
+//! with the fewest overlapping bytes below it per byte of its own.
 //!
-//! * **Leveled** — L0 is due when it holds `l0_compaction_trigger` tables
-//!   and compacts whole into L1; level *n* ≥ 1 is due when its byte size
-//!   exceeds `l1_bytes · multiplier^(n-1)` and moves **one** file (plus the
-//!   L(n+1) files it overlaps) into L(n+1). Of the due levels the one
-//!   furthest over its trigger goes first, and within a level ≥ 1 the file
-//!   with the fewest overlapping bytes below it per byte of its own.
-//! * **Size-tiered** — when any tier accumulates `l0_compaction_trigger`
-//!   tables, the whole tier merges into a single run placed in the next
-//!   tier. This approximates HBase's minor-compaction behaviour.
-//!
-//! Pickers are pure functions of a [`Version`]: they keep no cursor and
-//! know nothing about who else is working. Exclusion is the caller's job —
-//! `Db` picks and installs under its maintenance claim, so a picker is
+//! The picker is a pure function of a [`Version`]: it keeps no cursor and
+//! knows nothing about who else is working. Exclusion is the caller's job —
+//! `Db` picks and installs under its maintenance claim, so the picker is
 //! never asked about a version that names files of a job in flight.
 //!
 //! A job that would only copy its one input — nothing overlaps it in the
@@ -188,15 +182,6 @@ pub fn pick_leveled(version: &Version, opts: &Options) -> Option<CompactionJob> 
         vec![min_overlap_file(version, level)?.clone()]
     };
     Some(CompactionJob::new(version, level, inputs))
-}
-
-/// Chooses the next size-tiered compaction: the shallowest tier holding at
-/// least `l0_compaction_trigger` runs merges entirely into the next tier.
-/// Merging with the next tier's overlapping runs keeps lookups bounded.
-pub fn pick_tiered(version: &Version, opts: &Options) -> Option<CompactionJob> {
-    (0..version.levels.len() - 1)
-        .find(|&tier| version.levels[tier].len() >= opts.l0_compaction_trigger)
-        .map(|tier| CompactionJob::new(version, tier, version.levels[tier].clone()))
 }
 
 /// Streams a merge of `sources` into one or more output tables in `dir`,
@@ -444,19 +429,6 @@ mod tests {
         let mut v = Version::new(4);
         v.levels[0].push(meta(1, "a", "b", 10));
         assert!(pick_leveled(&v, &opts()).is_none());
-        assert!(pick_tiered(&v, &opts()).is_none());
-    }
-
-    #[test]
-    fn tiered_merges_full_tier() {
-        let mut v = Version::new(4);
-        for id in 1..=4 {
-            v.levels[0].push(meta(id, "a", "m", 100));
-        }
-        let job = pick_tiered(&v, &opts()).unwrap();
-        assert_eq!(job.level, 0);
-        assert_eq!(job.target_level, 1);
-        assert_eq!(job.inputs.len(), 4);
     }
 
     #[test]

@@ -40,7 +40,7 @@
 
 use crate::batch::WriteBatch;
 use crate::cache::BlockCache;
-use crate::compaction::{merge_to_tables, pick_leveled, pick_tiered, CompactionJob};
+use crate::compaction::{merge_to_tables, pick_leveled, CompactionJob};
 use crate::iter::{MergeIterator, Source, VisibleIter};
 use crate::memtable::{InternalKey, MemTable};
 use crate::sstable::Table;
@@ -48,7 +48,7 @@ use crate::version::{
     load_manifest, save_manifest, table_path, wal_path, FileMeta, ManifestState, Version,
 };
 use crate::wal::{LogReader, LogWriter};
-use crate::{CompactionStyle, Error, Options, Result, SeqNo, SyncMode};
+use crate::{Error, Options, Result, SeqNo, SyncMode};
 use bytes::Bytes;
 use crossbeam::channel::{bounded, Receiver, Sender};
 use parking_lot::{Condvar, Mutex, MutexGuard, RwLock};
@@ -115,48 +115,43 @@ struct Counters {
     stall_nanos: AtomicU64,
 }
 
-/// A point-in-time snapshot of engine statistics.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct DbStats {
-    pub puts: u64,
-    pub deletes: u64,
-    pub gets: u64,
-    pub scans: u64,
-    pub flushes: u64,
-    pub compactions: u64,
-    pub bytes_flushed: u64,
-    pub bytes_compacted: u64,
-    pub wal_syncs: u64,
-    pub commit_groups: u64,
-    pub commit_batches: u64,
-    /// Time the commit thread spent stalled on maintenance, in whole
-    /// milliseconds.
-    pub stalls: u64,
-    pub cache_hits: u64,
-    pub cache_misses: u64,
-    pub table_count: usize,
-    pub level_shape: [usize; 8],
+simkit::counters! {
+    /// A point-in-time snapshot of engine statistics. The counters are
+    /// what the benchmark exports as its engine section, in export order.
+    /// No cells are generated: a snapshot is assembled from the atomics in
+    /// `Counters`, the block cache's own tallies and the current version.
+    #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+    pub struct DbStats {
+        wal_syncs,
+        flushes,
+        compactions,
+        bytes_flushed,
+        bytes_compacted,
+        cache_hits,
+        cache_misses,
+        commit_groups,
+        commit_batches,
+        /// Time the commit thread spent stalled on maintenance, in whole
+        /// milliseconds.
+        stalls,
+        table_count;
+        pub puts: u64,
+        pub deletes: u64,
+        pub gets: u64,
+        pub scans: u64,
+        pub level_shape: [usize; 8],
+    }
 }
 
 impl DbStats {
     /// Sums another snapshot into this one (aggregating engines across
-    /// cluster nodes for telemetry export).
+    /// cluster nodes, and iterations, for telemetry export).
     pub fn accumulate(&mut self, other: &DbStats) {
+        self.add_counters(other);
         self.puts += other.puts;
         self.deletes += other.deletes;
         self.gets += other.gets;
         self.scans += other.scans;
-        self.flushes += other.flushes;
-        self.compactions += other.compactions;
-        self.bytes_flushed += other.bytes_flushed;
-        self.bytes_compacted += other.bytes_compacted;
-        self.wal_syncs += other.wal_syncs;
-        self.commit_groups += other.commit_groups;
-        self.commit_batches += other.commit_batches;
-        self.stalls += other.stalls;
-        self.cache_hits += other.cache_hits;
-        self.cache_misses += other.cache_misses;
-        self.table_count += other.table_count;
         for (a, b) in self.level_shape.iter_mut().zip(other.level_shape) {
             *a += b;
         }
@@ -349,10 +344,7 @@ impl DbInner {
     /// `vset` lock that every read takes.
     fn pick(&self) -> Option<CompactionJob> {
         let version = Arc::clone(&self.vset.lock().version);
-        match self.opts.compaction {
-            CompactionStyle::Leveled => pick_leveled(&version, &self.opts),
-            CompactionStyle::SizeTiered => pick_tiered(&version, &self.opts),
-        }
+        pick_leveled(&version, &self.opts)
     }
 
     /// The next compaction to run. The claim is what makes the answer safe
@@ -820,7 +812,7 @@ impl Db {
             stalls: c.stall_nanos.load(Ordering::Relaxed) / 1_000_000,
             cache_hits: self.inner.cache.hit_count(),
             cache_misses: self.inner.cache.miss_count(),
-            table_count: vset.version.table_count(),
+            table_count: vset.version.table_count() as u64,
             level_shape,
         }
     }
@@ -1617,25 +1609,6 @@ mod tests {
             .recv_timeout(Duration::from_secs(20))
             .expect("Drop finished");
         dropper.join().unwrap();
-        std::fs::remove_dir_all(dir).ok();
-    }
-
-    #[test]
-    fn size_tiered_mode_works() {
-        let dir = tmpdir("tiered");
-        let mut opts = Options::small();
-        opts.compaction = CompactionStyle::SizeTiered;
-        let db = Db::open(&dir, opts).unwrap();
-        for i in 0..4000 {
-            db.put(format!("key-{i:06}").as_bytes(), b"v").unwrap();
-        }
-        db.flush().unwrap();
-        let stats = db.stats();
-        assert!(stats.compactions > 0, "tiered compactions ran");
-        for i in (0..4000).step_by(173) {
-            assert!(db.get(format!("key-{i:06}").as_bytes()).unwrap().is_some());
-        }
-        drop(db);
         std::fs::remove_dir_all(dir).ok();
     }
 

@@ -63,7 +63,7 @@ pub mod wal;
 pub use batch::WriteBatch;
 pub use db::{Db, DbStats, ScanIter};
 pub use error::{Error, Result};
-pub use options::{CompactionStyle, Options, SyncMode};
+pub use options::{Options, SyncMode};
 
 /// Monotonically increasing sequence number assigned to every write.
 pub type SeqNo = u64;

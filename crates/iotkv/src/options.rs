@@ -12,17 +12,6 @@ pub enum SyncMode {
     Always,
 }
 
-/// Background table-merging strategy.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum CompactionStyle {
-    /// LevelDB-style leveled compaction: L0 by table count, deeper levels
-    /// by cumulative size with a fixed fan-out.
-    Leveled,
-    /// Size-tiered compaction: merge runs of similarly-sized tables.
-    /// Closer to HBase's default minor-compaction behaviour.
-    SizeTiered,
-}
-
 /// Tunables for a [`crate::Db`] instance.
 ///
 /// The defaults target the TPCx-IoT ingest shape (1 KB values, sequential
@@ -40,10 +29,7 @@ pub struct Options {
     pub block_cache_bytes: usize,
     /// Durability mode for the write-ahead log.
     pub sync: SyncMode,
-    /// Compaction strategy.
-    pub compaction: CompactionStyle,
-    /// L0 table count that triggers a compaction (leveled) or the minimum
-    /// run length (size-tiered).
+    /// L0 table count that triggers a compaction.
     pub l0_compaction_trigger: usize,
     /// L0 table count at which writes stall until compaction catches up.
     pub l0_stall_trigger: usize,
@@ -69,7 +55,6 @@ impl Default for Options {
             bloom_bits_per_key: 10,
             block_cache_bytes: 32 << 20,
             sync: SyncMode::None,
-            compaction: CompactionStyle::Leveled,
             l0_compaction_trigger: 4,
             l0_stall_trigger: 12,
             l1_bytes: 64 << 20,

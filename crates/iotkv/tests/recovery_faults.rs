@@ -2,7 +2,7 @@
 //! torn WAL tails, corrupted tables and manifests, repeated
 //! kill-and-reopen cycles checked against an in-memory oracle.
 
-use iotkv::{CompactionStyle, Db, Error, Options, SyncMode};
+use iotkv::{Db, Error, Options, SyncMode};
 use std::collections::BTreeMap;
 use std::fs;
 use std::path::PathBuf;
@@ -194,35 +194,6 @@ fn sync_modes_all_work() {
         drop(db);
         fs::remove_dir_all(dir).ok();
     }
-}
-
-#[test]
-fn tiered_and_leveled_agree_on_contents() {
-    let mut data = Vec::new();
-    let mut rng = simkit::rng::Stream::new(0x7139);
-    for _ in 0..4000 {
-        data.push((
-            format!("key-{:05}", rng.next_below(3000)),
-            format!("value-{}", rng.next_u64()),
-        ));
-    }
-    let run = |style: CompactionStyle, name: &str| {
-        let dir = tmpdir(name);
-        let mut o = opts();
-        o.compaction = style;
-        let db = Db::open(&dir, o).unwrap();
-        for (k, v) in &data {
-            db.put(k.as_bytes(), v.as_bytes()).unwrap();
-        }
-        db.flush().unwrap();
-        let rows = db.scan(b"key-", b"key-~", usize::MAX).unwrap();
-        drop(db);
-        fs::remove_dir_all(dir).ok();
-        rows
-    };
-    let leveled = run(CompactionStyle::Leveled, "agree-lvl");
-    let tiered = run(CompactionStyle::SizeTiered, "agree-tier");
-    assert_eq!(leveled, tiered, "both styles expose identical data");
 }
 
 #[test]

@@ -13,7 +13,9 @@
 //!   regardless of event interleaving changes elsewhere,
 //! * [`stats`] — histograms (log-linear buckets, HDR-style), counters and
 //!   Welford-style moment accumulators used to report latency percentiles,
-//!   coefficients of variation, and throughput series.
+//!   coefficients of variation, and throughput series,
+//! * [`counters!`] — one declaration per set of statistics counters, from
+//!   which the snapshot struct, its export walk and its atomic cells derive.
 //!
 //! Determinism contract: given the same seed and the same sequence of
 //! `schedule` calls, a simulation produces bit-identical results. Events
@@ -21,6 +23,7 @@
 //!
 //! [`simcluster`]: ../simcluster/index.html
 
+mod counters;
 pub mod rng;
 pub mod stats;
 pub mod sync;

@@ -61,22 +61,11 @@ pub trait KvStore: Send + Sync {
     /// Deletes a record.
     fn delete(&self, table: &str, key: &str) -> StoreResult<()>;
 
-    /// Reads up to `count` records starting at `start_key` (inclusive), in
-    /// key order.
-    fn scan(
-        &self,
-        table: &str,
-        start_key: &str,
-        count: usize,
-        fields: Option<&[String]>,
-    ) -> StoreResult<Vec<(String, FieldMap)>>;
-
     /// Streams up to `count` records starting at `start_key` (inclusive)
     /// into `visit` in key order; `visit` returns `false` to stop early.
-    /// Returns the number of records visited.
-    ///
-    /// The default materializes via [`KvStore::scan`]; stores backed by a
-    /// streaming scan override it so the result set is never collected.
+    /// Returns the number of records visited. This is the scan primitive:
+    /// a store implements it once and the result set is never collected
+    /// unless a caller asks for [`KvStore::scan`].
     fn scan_visit(
         &self,
         table: &str,
@@ -84,16 +73,23 @@ pub trait KvStore: Send + Sync {
         count: usize,
         fields: Option<&[String]>,
         visit: &mut dyn FnMut(&str, FieldMap) -> bool,
-    ) -> StoreResult<u64> {
-        let rows = self.scan(table, start_key, count, fields)?;
-        let mut visited = 0u64;
-        for (key, row) in rows {
-            visited += 1;
-            if !visit(&key, row) {
-                break;
-            }
-        }
-        Ok(visited)
+    ) -> StoreResult<u64>;
+
+    /// Reads up to `count` records starting at `start_key` (inclusive), in
+    /// key order, collected through [`KvStore::scan_visit`].
+    fn scan(
+        &self,
+        table: &str,
+        start_key: &str,
+        count: usize,
+        fields: Option<&[String]>,
+    ) -> StoreResult<Vec<(String, FieldMap)>> {
+        let mut rows = Vec::new();
+        self.scan_visit(table, start_key, count, fields, &mut |key, row| {
+            rows.push((key.to_string(), row));
+            true
+        })?;
+        Ok(rows)
     }
 }
 
@@ -195,21 +191,26 @@ impl KvStore for MemoryStore {
         removed.map(|_| ()).ok_or(StoreError::NotFound)
     }
 
-    fn scan(
+    fn scan_visit(
         &self,
         table: &str,
         start_key: &str,
         count: usize,
         fields: Option<&[String]>,
-    ) -> StoreResult<Vec<(String, FieldMap)>> {
+        visit: &mut dyn FnMut(&str, FieldMap) -> bool,
+    ) -> StoreResult<u64> {
         let tables = self.tables.read();
         let Some(t) = tables.get(table) else {
-            return Ok(Vec::new());
+            return Ok(0);
         };
-        Ok(t.range(start_key.to_string()..)
-            .take(count)
-            .map(|(k, row)| (k.clone(), project(row, fields)))
-            .collect())
+        let mut visited = 0u64;
+        for (key, row) in t.range(start_key.to_string()..).take(count) {
+            visited += 1;
+            if !visit(key, project(row, fields)) {
+                break;
+            }
+        }
+        Ok(visited)
     }
 }
 

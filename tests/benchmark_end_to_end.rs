@@ -158,13 +158,13 @@ mod sustained_rate {
             self.inner.insert(key, value)
         }
 
-        fn scan(
+        fn scan_fold(
             &self,
             start: &[u8],
             end: &[u8],
-            limit: usize,
-        ) -> BackendResult<Vec<(bytes::Bytes, bytes::Bytes)>> {
-            self.inner.scan(start, end, limit)
+            visit: &mut dyn FnMut(&[u8], &[u8]) -> bool,
+        ) -> BackendResult<u64> {
+            self.inner.scan_fold(start, end, visit)
         }
 
         fn replication_factor(&self) -> usize {

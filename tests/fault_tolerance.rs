@@ -358,14 +358,17 @@ fn elastic_reconfiguration_under_load_stays_valid() {
         assert_eq!(it.warmup.ingested + it.measured.ingested, 16_000);
         let c = it.cluster.as_ref().expect("gateway SUT samples cluster");
         assert!(c.topology_ok, "routing table must stay consistent: {c:?}");
-        assert!(c.splits >= 1, "threshold must trigger a split: {c:?}");
         assert!(
-            c.migrations_completed >= 1,
+            c.resilience.splits >= 1,
+            "threshold must trigger a split: {c:?}"
+        );
+        assert!(
+            c.resilience.migrations_completed >= 1,
             "node add must land a replica on the new node: {c:?}"
         );
-        assert_eq!(c.drains, 1, "{c:?}");
+        assert_eq!(c.resilience.drains, 1, "{c:?}");
         assert!(
-            c.epoch >= c.splits + c.migrations_completed,
+            c.epoch >= c.resilience.splits + c.resilience.migrations_completed,
             "every reconfiguration bumps the routing epoch: {c:?}"
         );
         assert!(
@@ -410,11 +413,11 @@ fn dest_crash_mid_migration_keeps_source_serving_and_run_valid() {
         assert!(it.validity.valid, "unexpected: {:?}", it.validity.reasons);
         let c = it.cluster.as_ref().expect("gateway SUT samples cluster");
         assert!(c.topology_ok, "{c:?}");
-        assert_eq!(c.migrations_started, 1, "{c:?}");
-        assert_eq!(c.migrations_aborted, 1, "{c:?}");
-        assert_eq!(c.migrations_completed, 0, "{c:?}");
+        assert_eq!(c.resilience.migrations_started, 1, "{c:?}");
+        assert_eq!(c.resilience.migrations_aborted, 1, "{c:?}");
+        assert_eq!(c.resilience.migrations_completed, 0, "{c:?}");
         assert_eq!(
-            c.unavailable_errors, 0,
+            c.resilience.unavailable_errors, 0,
             "the dead node was never routed, so nothing is rejected: {c:?}"
         );
         assert_eq!(

@@ -17,6 +17,7 @@
 use simkit::rng::Stream;
 use std::path::PathBuf;
 use std::time::Duration;
+use tpcx_iot::backend::ResilienceCounters;
 use tpcx_iot::pricing::PriceSheet;
 use tpcx_iot::report::full_disclosure_report;
 use tpcx_iot::rules::Rules;
@@ -126,6 +127,7 @@ fn synthetic_registry() -> MetricsRegistry {
         commit_batches: 2_900,
         stalls: 1,
         table_count: 17,
+        ..Default::default()
     };
     registry.cluster = Some(ClusterCounters {
         puts: 5_590,
@@ -138,22 +140,25 @@ fn synthetic_registry() -> MetricsRegistry {
         regions: 6,
         node_writes: vec![1_900, 1_845, 1_845],
         node_reads: vec![16, 0, 0],
-        failover_reads: 4,
-        under_replicated_writes: 37,
-        hinted_writes: 37,
-        replayed_hints: 37,
-        unavailable_errors: 0,
-        scan_retries: 2,
-        scan_resumes: 1,
-        splits: 2,
-        drains: 1,
-        migrations_started: 3,
-        migrations_completed: 2,
-        migrations_aborted: 1,
-        migration_throttled: 7,
-        stale_route_retries: 5,
+        resilience: ResilienceCounters {
+            failover_reads: 4,
+            under_replicated_writes: 37,
+            hinted_writes: 37,
+            replayed_hints: 37,
+            unavailable_errors: 0,
+            scan_retries: 2,
+            scan_resumes: 1,
+            splits: 2,
+            drains: 1,
+            migrations_started: 3,
+            migrations_completed: 2,
+            migrations_aborted: 1,
+            migration_throttled: 7,
+            stale_route_retries: 5,
+        },
         epoch: 6,
         topology_ok: true,
+        ..Default::default()
     });
     registry.verdict = "INVALID".into();
     registry

@@ -75,25 +75,26 @@ fn driver_instance_against_real_cluster() {
     let dir = tmpdir("driver");
     let cluster = Arc::new(small_cluster(&dir, 2, 1));
     let measurements = Arc::new(Measurements::new());
-    let mut config = DriverConfig::new(0, 10_000);
+    let mut config = DriverConfig::new(0, 2_000);
     config.threads = 4;
+    config.queries_per_10k = 25;
     let report = run_driver(
         &config,
         Arc::clone(&cluster) as Arc<dyn GatewayBackend>,
         measurements,
     );
-    assert_eq!(report.ingested, 10_000);
+    assert_eq!(report.ingested, 2_000);
     assert_eq!(report.insert_failures, 0);
-    // 4 threads x 2500 readings each, one query per 2000 readings.
+    // 4 threads x 500 readings each, one query per 400 readings.
     assert_eq!(report.queries_executed, 4);
     assert_eq!(report.query_failures, 0);
     assert!(
         report.rows_per_query.mean() > 0.0,
         "queries hit ingested data"
     );
-    assert_eq!(cluster.stats().puts, 10_000);
+    assert_eq!(cluster.stats().puts, 2_000);
     // Every put was replicated twice (2-node cap).
-    assert_eq!(cluster.stats().replica_writes, 20_000);
+    assert_eq!(cluster.stats().replica_writes, 4_000);
 
     let dir2 = cluster.config().data_dir.clone();
     drop(cluster);
@@ -137,22 +138,22 @@ fn multi_substation_ingest_isolates_substations() {
             let cluster = Arc::clone(&cluster);
             let measurements = Arc::clone(&measurements);
             scope.spawn(move || {
-                let mut config = DriverConfig::new(i, 5_000);
+                let mut config = DriverConfig::new(i, 1_000);
                 config.threads = 2;
                 config.seed = 100 + i as u64;
                 let report = run_driver(&config, cluster as Arc<dyn GatewayBackend>, measurements);
-                assert_eq!(report.ingested, 5_000);
+                assert_eq!(report.ingested, 1_000);
             });
         }
     });
-    assert_eq!(cluster.stats().puts, 15_000);
+    assert_eq!(cluster.stats().puts, 3_000);
     // Substation prefixes keep data disjoint.
     for i in 0..3 {
         let prefix = tpcx_iot::keys::substation_prefix(&tpcx_iot::sensors::substation_key(i));
         let mut end = prefix.clone();
         *end.last_mut().unwrap() += 1;
         let rows = cluster.scan(&prefix, &end, usize::MAX).unwrap();
-        assert_eq!(rows.len(), 5_000, "substation {i}");
+        assert_eq!(rows.len(), 1_000, "substation {i}");
     }
     let dir2 = cluster.config().data_dir.clone();
     drop(cluster);
