@@ -14,7 +14,6 @@ fn cluster_put_and_query(c: &mut Criterion) {
     let mut config = gateway::ClusterConfig::new(&dir, 3);
     config.storage = iotkv::Options {
         memtable_bytes: 16 << 20,
-        background_compaction: true,
         ..iotkv::Options::default()
     };
     let cluster = Arc::new(gateway::Cluster::start(config).unwrap());

@@ -8,7 +8,6 @@ fn bench_options() -> Options {
     Options {
         memtable_bytes: 32 << 20,
         block_cache_bytes: 32 << 20,
-        background_compaction: true,
         ..Options::default()
     }
 }

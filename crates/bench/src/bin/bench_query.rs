@@ -128,7 +128,6 @@ fn run_case(mode: Mode, rows_per_window: u64, queries: u64) -> Case {
         block_bytes: 4 << 10,
         l1_bytes: 32 << 20,
         table_bytes: 8 << 20,
-        background_compaction: false,
         ..Options::default()
     };
     let cluster = Arc::new(Cluster::start(config).expect("cluster starts"));

@@ -61,7 +61,6 @@ fn run_case(label: &str, kvps: u64, plan: Option<FaultPlan>) -> SweepRow {
         block_bytes: 4 << 10,
         l1_bytes: 32 << 20,
         table_bytes: 8 << 20,
-        background_compaction: false,
         ..Options::default()
     };
     config.fault_plan = plan;

@@ -47,7 +47,6 @@ fn cluster(slug: &str) -> (gateway::Cluster, std::path::PathBuf) {
         block_bytes: 4 << 10,
         l1_bytes: 32 << 20,
         table_bytes: 8 << 20,
-        background_compaction: false,
         ..iotkv::Options::default()
     };
     (

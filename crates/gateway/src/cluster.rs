@@ -671,8 +671,8 @@ impl Cluster {
         Ok(n.db.get(key)?)
     }
 
-    /// Routing for reads/scans: the primary when live, otherwise the
-    /// first live replica (counted as a failover).
+    /// Routing for gets: the primary when live, otherwise the first live
+    /// replica. The first verdict on that node decides the read.
     fn pick_read_node(
         &self,
         primary: usize,
@@ -683,34 +683,46 @@ impl Cluster {
         let Some(fault) = &self.fault else {
             return Ok(primary);
         };
-        let mut chosen = None;
-        for node in
-            std::iter::once(primary).chain(replicas.iter().copied().filter(|&n| n != primary))
-        {
-            self.maybe_replay_hints(node, now);
-            if !fault.node_down(node, now) {
-                chosen = Some(node);
-                break;
-            }
-        }
-        let Some(node) = chosen else {
-            return Err(self.unavailable("no live replica for read"));
-        };
-        match fault.judge(node, key, now) {
-            FaultVerdict::Ok => {
-                if node != primary {
-                    // ordering: Relaxed — statistics counter.
-                    self.resilience
-                        .failover_reads
-                        .fetch_add(1, Ordering::Relaxed);
-                }
-                Ok(node)
-            }
+        let accept = |node| match fault.judge(node, key, now) {
+            FaultVerdict::Ok => Ok(true),
             FaultVerdict::NodeDown => Err(self.unavailable(format!("node {node} went down"))),
             FaultVerdict::Transient => {
                 Err(self.unavailable(format!("transient fault on node {node}")))
             }
+        };
+        self.walk_read_candidates(fault, primary, replicas, now, accept)?
+            .ok_or_else(|| self.unavailable("no live replica for read"))
+    }
+
+    /// The read-candidate walk gets and scans share: the primary, then the
+    /// other replicas, each with its hints replayed first and skipped
+    /// while down. `accept` judges a live candidate — `Ok(true)` serves
+    /// the read there, `Ok(false)` moves on, `Err` fails the read. Serving
+    /// anywhere but the primary counts a failover. `None`: nobody served.
+    fn walk_read_candidates(
+        &self,
+        fault: &FaultState,
+        primary: usize,
+        replicas: &[usize],
+        now: u64,
+        mut accept: impl FnMut(usize) -> Result<bool>,
+    ) -> Result<Option<usize>> {
+        for node in
+            std::iter::once(primary).chain(replicas.iter().copied().filter(|&n| n != primary))
+        {
+            self.maybe_replay_hints(node, now);
+            if fault.node_down(node, now) || !accept(node)? {
+                continue;
+            }
+            if node != primary {
+                // ordering: Relaxed — statistics counter.
+                self.resilience
+                    .failover_reads
+                    .fetch_add(1, Ordering::Relaxed);
+            }
+            return Ok(Some(node));
         }
+        Ok(None)
     }
 
     /// Ordered scan of `[start, end)` across all covering regions, up to
@@ -947,52 +959,37 @@ impl ClusterScan<'_> {
     /// live replicas, absorbing transient verdicts with bounded retries.
     fn open_cursor(&self, target: ScanTarget, from: &[u8], resume: bool) -> Result<ScanCursor> {
         let cluster = self.cluster;
-        let node = 'pick: {
-            let Some(fault) = &cluster.fault else {
-                break 'pick target.primary;
-            };
-            let now = cluster.fault_tick();
-            for node in std::iter::once(target.primary).chain(
-                target
-                    .replicas
-                    .iter()
-                    .copied()
-                    .filter(|&n| n != target.primary),
-            ) {
-                cluster.maybe_replay_hints(node, now);
-                if fault.node_down(node, now) {
-                    continue;
-                }
-                let mut attempt = 0;
-                loop {
-                    match fault.judge(node, from, now) {
-                        FaultVerdict::Ok => break 'pick node,
-                        FaultVerdict::NodeDown => break, // next candidate
-                        FaultVerdict::Transient => {
-                            attempt += 1;
-                            if attempt >= Self::OPEN_RETRY_ATTEMPTS {
-                                return Err(
-                                    cluster.unavailable(format!("transient fault on node {node}"))
-                                );
+        let node = match &cluster.fault {
+            None => target.primary,
+            Some(fault) => {
+                let now = cluster.fault_tick();
+                let accept = |node| {
+                    let mut attempt = 0;
+                    loop {
+                        match fault.judge(node, from, now) {
+                            FaultVerdict::Ok => return Ok(true),
+                            FaultVerdict::NodeDown => return Ok(false), // next candidate
+                            FaultVerdict::Transient => {
+                                attempt += 1;
+                                if attempt >= Self::OPEN_RETRY_ATTEMPTS {
+                                    return Err(cluster
+                                        .unavailable(format!("transient fault on node {node}")));
+                                }
+                                // ordering: Relaxed — statistics counter.
+                                cluster
+                                    .resilience
+                                    .scan_retries
+                                    .fetch_add(1, Ordering::Relaxed);
                             }
-                            // ordering: Relaxed — statistics counter.
-                            cluster
-                                .resilience
-                                .scan_retries
-                                .fetch_add(1, Ordering::Relaxed);
                         }
                     }
-                }
+                };
+                cluster
+                    .walk_read_candidates(fault, target.primary, &target.replicas, now, accept)?
+                    .ok_or_else(|| cluster.unavailable("no live replica for scan"))?
             }
-            return Err(cluster.unavailable("no live replica for scan"));
         };
         // ordering: Relaxed — statistics counters.
-        if node != target.primary {
-            cluster
-                .resilience
-                .failover_reads
-                .fetch_add(1, Ordering::Relaxed);
-        }
         if resume {
             cluster
                 .resilience

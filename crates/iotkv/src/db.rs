@@ -17,12 +17,14 @@
 //!   `DbInner::maintenance_step`: flush *every* frozen memtable, then
 //!   pick and run *at most one* compaction. Everyone who wants maintenance
 //!   done calls it until it reports nothing left — the **background
-//!   thread** (`Options::background_compaction`), the commit thread itself
-//!   in the inline mode (deterministic, for tests), [`Db::flush`] and
-//!   [`Db::compact`]. Flushing first means a chain of compactions never
-//!   sits between a full memtable and the disk; when compaction is the
-//!   bottleneck L0 therefore grows towards `l0_stall_trigger`, and the
-//!   next L0→L1 job spreads its rewrite of L1 over that many more tables.
+//!   thread** every `Db` runs, [`Db::flush`] and [`Db::compact`] (the
+//!   two ways to force a quiescent tree). The commit thread never runs a
+//!   step: after a rotation it wakes the background thread and stalls if
+//!   maintenance is too far behind (below). Flushing first means a chain
+//!   of compactions never sits between a full memtable and the disk; when
+//!   compaction is the bottleneck L0 therefore grows towards
+//!   `l0_stall_trigger`, and the next L0→L1 job spreads its rewrite of L1
+//!   over that many more tables.
 //! * A step runs under the **maintenance claim** (`DbInner::maint`), held
 //!   from before the pick until the new version is installed. One job at a
 //!   time per `Db`: a frozen memtable or a table file is never handed to
@@ -573,22 +575,16 @@ impl Db {
             .name("iotkv-commit".into())
             .spawn(move || commit_loop(commit_inner, rx, wal, wal_id, last_seq))?;
 
-        let bg_handle = if opts.background_compaction {
-            let bg_inner = Arc::clone(&inner);
-            Some(
-                std::thread::Builder::new()
-                    .name("iotkv-bg".into())
-                    .spawn(move || background_loop(bg_inner))?,
-            )
-        } else {
-            None
-        };
+        let bg_inner = Arc::clone(&inner);
+        let bg_handle = std::thread::Builder::new()
+            .name("iotkv-bg".into())
+            .spawn(move || background_loop(bg_inner))?;
 
         Ok(Db {
             inner,
             commit_tx: tx,
             commit_handle: Mutex::new(Some(commit_handle)),
-            bg_handle: Mutex::new(bg_handle),
+            bg_handle: Mutex::new(Some(bg_handle)),
         })
     }
 
@@ -966,14 +962,6 @@ fn commit_loop(
                     inner.counters.wal_syncs.fetch_add(1, Ordering::Relaxed);
                     wal.sync()
                 }
-                SyncMode::Always => {
-                    // ordering: Relaxed — statistics counter.
-                    inner
-                        .counters
-                        .wal_syncs
-                        .fetch_add(group.len() as u64, Ordering::Relaxed);
-                    wal.sync()
-                }
             };
             if let Err(e) = sync_result {
                 commit_err = Some(e);
@@ -1030,13 +1018,8 @@ fn commit_loop(
             if let Err(e) = &rotate_result {
                 *inner.bg_error.lock() = Some(e.clone());
             }
-            if inner.opts.background_compaction {
-                inner.wake();
-                inner.stall_while_backed_up();
-            } else if let Err(e) = inner.maintain_until_quiet() {
-                // Deterministic mode: maintenance runs here, inline.
-                *inner.bg_error.lock() = Some(e);
-            }
+            inner.wake();
+            inner.stall_while_backed_up();
         }
         for reply in &flush_replies {
             let _ = reply.send(Ok(()));
@@ -1169,6 +1152,8 @@ mod tests {
             )
             .unwrap();
         }
+        // Drains the memtables frozen so far, not the active one.
+        db.compact().unwrap();
         let stats = db.stats();
         assert!(stats.flushes > 0, "small memtable must have flushed");
         for i in (0..n).step_by(97) {
@@ -1317,7 +1302,6 @@ mod tests {
         let dir = tmpdir("conc");
         let mut opts = Options::small();
         opts.memtable_bytes = 1 << 20; // avoid rotation noise
-        opts.background_compaction = true;
         let db = Arc::new(Db::open(&dir, opts).unwrap());
         let threads: Vec<_> = (0..8)
             .map(|t| {
@@ -1355,9 +1339,7 @@ mod tests {
     #[test]
     fn background_mode_converges() {
         let dir = tmpdir("bg");
-        let mut opts = Options::small();
-        opts.background_compaction = true;
-        let db = Db::open(&dir, opts).unwrap();
+        let db = Db::open(&dir, Options::small()).unwrap();
         for i in 0..5000 {
             db.put(format!("key-{i:06}").as_bytes(), &[0u8; 32])
                 .unwrap();
@@ -1374,13 +1356,6 @@ mod tests {
         assert!(stats.flushes > 0);
         drop(db);
         std::fs::remove_dir_all(dir).ok();
-    }
-
-    fn bg_opts() -> Options {
-        Options {
-            background_compaction: true,
-            ..Options::small()
-        }
     }
 
     fn numbered_key(i: usize) -> Vec<u8> {
@@ -1442,7 +1417,7 @@ mod tests {
     #[test]
     fn step_flushes_every_memtable_before_it_compacts() {
         let dir = tmpdir("stepfirst");
-        let mut opts = bg_opts();
+        let mut opts = Options::small();
         opts.l0_compaction_trigger = 2;
         let db = Db::open(&dir, opts).unwrap();
         let inner = Arc::clone(&db.inner);
@@ -1477,7 +1452,7 @@ mod tests {
     #[test]
     fn claimed_job_is_not_picked_a_second_time() {
         let dir = tmpdir("claimed");
-        let mut opts = bg_opts();
+        let mut opts = Options::small();
         opts.l0_compaction_trigger = 2;
         let db = Db::open(&dir, opts).unwrap();
         let inner = Arc::clone(&db.inner);
@@ -1509,7 +1484,7 @@ mod tests {
     #[test]
     fn flush_racing_background_maintenance_stores_each_key_once() {
         let dir = tmpdir("dupmaint");
-        let db = Arc::new(Db::open(&dir, bg_opts()).unwrap());
+        let db = Arc::new(Db::open(&dir, Options::small()).unwrap());
         // ~100 bytes an entry against a 16 KiB memtable: some 50 rotations.
         const PER_WRITER: usize = 4000;
         let writers: Vec<_> = (0..2)
@@ -1545,7 +1520,7 @@ mod tests {
     #[test]
     fn stall_time_is_reported_in_milliseconds() {
         let dir = tmpdir("stallms");
-        let db = Db::open(&dir, bg_opts()).unwrap();
+        let db = Db::open(&dir, Options::small()).unwrap();
         let inner = Arc::clone(&db.inner);
         let claim = inner.maint.lock();
         let mut next = 0;
@@ -1571,7 +1546,7 @@ mod tests {
     #[test]
     fn drop_releases_a_stalled_commit_thread() {
         let dir = tmpdir("dropstall");
-        let opts = bg_opts();
+        let opts = Options::small();
         let stall_at = opts.l0_stall_trigger;
         let db = Db::open(&dir, opts).unwrap();
         let inner = Arc::clone(&db.inner);

@@ -10,14 +10,15 @@
 //! The write path is the classic LSM pipeline:
 //!
 //! 1. every write is appended to a CRC-framed **write-ahead log**
-//!    ([`wal`]) — concurrent writers are merged by a LevelDB-style
-//!    leader/follower **group commit** protocol,
+//!    ([`wal`]) — concurrent writers are merged into **commit groups**,
+//!    and under [`SyncMode::GroupCommit`] a write is acknowledged only
+//!    after the one `fsync` that covers its group,
 //! 2. applied to an in-memory, ordered **memtable** ([`memtable`]),
-//! 3. when the memtable exceeds its budget it is frozen and flushed to an
-//!    immutable, block-based **SSTable** ([`sstable`]) with an index block
-//!    and a **bloom filter**,
-//! 4. background **compaction** ([`compaction`]) merges tables either in a
-//!    leveled or a size-tiered layout.
+//! 3. when the memtable exceeds its budget it is frozen, and the
+//!    database's background thread flushes it to an immutable,
+//!    block-based **SSTable** ([`sstable`]) with an index block and a
+//!    **bloom filter**,
+//! 4. the same thread runs leveled **compaction** ([`compaction`]).
 //!
 //! Reads consult memtables first, then tables newest-to-oldest, skipping
 //! tables whose bloom filter excludes the key; hot blocks are kept in a

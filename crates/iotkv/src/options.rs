@@ -6,10 +6,9 @@ pub enum SyncMode {
     /// Never call `fsync`; durability is bounded by the OS page cache.
     /// This is the mode benchmark-scale tests use.
     None,
-    /// `fsync` once per group commit (leader syncs for the whole group).
+    /// `fsync` once per commit group; a write is acknowledged only after
+    /// the sync that covers its group.
     GroupCommit,
-    /// `fsync` every write batch individually.
-    Always,
 }
 
 /// Tunables for a [`crate::Db`] instance.
@@ -42,9 +41,6 @@ pub struct Options {
     pub max_levels: usize,
     /// Target size of one flushed/compacted SSTable file.
     pub table_bytes: u64,
-    /// Run flush/compaction on a background thread. Disable to make tests
-    /// deterministic (the engine then compacts inline on the write path).
-    pub background_compaction: bool,
 }
 
 impl Default for Options {
@@ -61,14 +57,13 @@ impl Default for Options {
             level_size_multiplier: 10,
             max_levels: 7,
             table_bytes: 8 << 20,
-            background_compaction: true,
         }
     }
 }
 
 impl Options {
     /// A configuration with tiny budgets so tests hit flush and compaction
-    /// with small datasets, running compaction inline for determinism.
+    /// with small datasets.
     pub fn small() -> Options {
         Options {
             memtable_bytes: 16 << 10,
@@ -81,7 +76,6 @@ impl Options {
             level_size_multiplier: 4,
             max_levels: 5,
             table_bytes: 16 << 10,
-            background_compaction: false,
             ..Options::default()
         }
     }

@@ -1,7 +1,6 @@
 //! Property-based tests of the storage engine: random operation
 //! sequences against a BTreeMap oracle, through flush, compaction, and
-//! reopen — with maintenance inline on the commit thread and on the
-//! background thread, where `flush()` and reopen race it.
+//! reopen — `flush()` and reopen race the background maintenance thread.
 
 use iotkv::{Db, Options, WriteBatch};
 use proptest::prelude::*;
@@ -49,7 +48,6 @@ proptest! {
     fn random_ops_match_oracle(
         ops in proptest::collection::vec(op(), 1..120),
         seed in any::<u32>(),
-        background in any::<bool>(),
     ) {
         let dir = std::env::temp_dir().join(format!(
             "iotkv-prop-{seed}-{}-{:?}",
@@ -57,8 +55,7 @@ proptest! {
             std::thread::current().id()
         ));
         std::fs::remove_dir_all(&dir).ok();
-        let opts = Options { background_compaction: background, ..Options::small() };
-        let mut db = Some(Db::open(&dir, opts.clone()).unwrap());
+        let mut db = Some(Db::open(&dir, Options::small()).unwrap());
         let mut oracle: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();
 
         for op in &ops {
@@ -93,7 +90,7 @@ proptest! {
                 Op::Flush => handle.flush().unwrap(),
                 Op::Reopen => {
                     drop(db.take());
-                    db = Some(Db::open(&dir, opts.clone()).unwrap());
+                    db = Some(Db::open(&dir, Options::small()).unwrap());
                 }
             }
         }

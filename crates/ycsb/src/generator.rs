@@ -15,26 +15,6 @@ pub trait Generator: Send {
     fn last_value(&self) -> u64;
 }
 
-/// Always returns the same value.
-pub struct ConstantGenerator {
-    value: u64,
-}
-
-impl ConstantGenerator {
-    pub fn new(value: u64) -> Self {
-        ConstantGenerator { value }
-    }
-}
-
-impl Generator for ConstantGenerator {
-    fn next_value(&mut self, _rng: &mut Stream) -> u64 {
-        self.value
-    }
-    fn last_value(&self) -> u64 {
-        self.value
-    }
-}
-
 /// Uniform over `[lo, hi]` inclusive.
 pub struct UniformGenerator {
     lo: u64,
@@ -261,83 +241,6 @@ impl Generator for LatestGenerator {
     }
 }
 
-/// Exponential distribution — YCSB's `ExponentialGenerator`, parameterised
-/// the YCSB way: `frac` of the mass falls in the first `percentile`% of
-/// the range.
-pub struct ExponentialGenerator {
-    gamma: f64,
-    last: u64,
-}
-
-impl ExponentialGenerator {
-    pub fn new(percentile: f64, range: f64) -> Self {
-        ExponentialGenerator {
-            gamma: -(1.0 - percentile / 100.0).ln() / range,
-            last: 0,
-        }
-    }
-
-    pub fn with_mean(mean: f64) -> Self {
-        ExponentialGenerator {
-            gamma: 1.0 / mean,
-            last: 0,
-        }
-    }
-}
-
-impl Generator for ExponentialGenerator {
-    fn next_value(&mut self, rng: &mut Stream) -> u64 {
-        self.last = (-(1.0 - rng.next_f64()).ln() / self.gamma) as u64;
-        self.last
-    }
-    fn last_value(&self) -> u64 {
-        self.last
-    }
-}
-
-/// Hotspot distribution: `hot_op_fraction` of draws hit the first
-/// `hot_set_fraction` of the keyspace.
-pub struct HotspotGenerator {
-    lo: u64,
-    hi: u64,
-    hot_interval: u64,
-    cold_interval: u64,
-    hot_op_fraction: f64,
-    last: u64,
-}
-
-impl HotspotGenerator {
-    pub fn new(lo: u64, hi: u64, hot_set_fraction: f64, hot_op_fraction: f64) -> Self {
-        assert!((0.0..=1.0).contains(&hot_set_fraction));
-        assert!((0.0..=1.0).contains(&hot_op_fraction));
-        let interval = hi - lo + 1;
-        let hot_interval = ((interval as f64 * hot_set_fraction) as u64).max(1);
-        HotspotGenerator {
-            lo,
-            hi,
-            hot_interval,
-            cold_interval: interval - hot_interval,
-            hot_op_fraction,
-            last: 0,
-        }
-    }
-}
-
-impl Generator for HotspotGenerator {
-    fn next_value(&mut self, rng: &mut Stream) -> u64 {
-        self.last = if rng.chance(self.hot_op_fraction) || self.cold_interval == 0 {
-            self.lo + rng.next_below(self.hot_interval)
-        } else {
-            self.lo + self.hot_interval + rng.next_below(self.cold_interval)
-        };
-        debug_assert!(self.last <= self.hi);
-        self.last
-    }
-    fn last_value(&self) -> u64 {
-        self.last
-    }
-}
-
 /// Weighted choice over a fixed set of values — YCSB's
 /// `DiscreteGenerator`, used to pick the next operation type.
 pub struct DiscreteGenerator<T: Clone + Send> {
@@ -385,12 +288,8 @@ mod tests {
     }
 
     #[test]
-    fn constant_and_counter() {
+    fn counter_counts_up() {
         let mut rng = stream();
-        let mut c = ConstantGenerator::new(42);
-        assert_eq!(c.next_value(&mut rng), 42);
-        assert_eq!(c.last_value(), 42);
-
         let mut ctr = CounterGenerator::new(10);
         assert_eq!(ctr.next_value(&mut rng), 10);
         assert_eq!(ctr.next_value(&mut rng), 11);
@@ -483,25 +382,6 @@ mod tests {
         for _ in 0..1000 {
             assert!(g.next_value(&mut rng) <= 999);
         }
-    }
-
-    #[test]
-    fn exponential_mean() {
-        let mut rng = stream();
-        let mut g = ExponentialGenerator::with_mean(100.0);
-        let n = 100_000;
-        let sum: u64 = (0..n).map(|_| g.next_value(&mut rng)).sum();
-        let mean = sum as f64 / n as f64;
-        assert!((mean - 100.0).abs() < 3.0, "mean was {mean}");
-    }
-
-    #[test]
-    fn hotspot_honours_fractions() {
-        let mut rng = stream();
-        let mut g = HotspotGenerator::new(0, 999, 0.1, 0.9);
-        let hot = (0..50_000).filter(|_| g.next_value(&mut rng) < 100).count();
-        let frac = hot as f64 / 50_000.0;
-        assert!((frac - 0.9).abs() < 0.02, "hot fraction was {frac}");
     }
 
     #[test]

@@ -6,9 +6,9 @@
 //! Benchmark framework"*), so this crate reproduces the abstractions the
 //! official kit extends:
 //!
-//! * [`generator`] — the request-distribution generators (uniform,
-//!   zipfian, scrambled zipfian, latest, hotspot, exponential, sequential,
-//!   discrete, constant),
+//! * [`generator`] — the request-distribution generators workloads A–F
+//!   draw from (uniform, zipfian, scrambled zipfian, latest, counter,
+//!   discrete),
 //! * [`store`] — the database interface layer ([`store::KvStore`]): the
 //!   five YCSB operations against any backend,
 //! * [`workload`] — the classic core workload (generates `user###` records

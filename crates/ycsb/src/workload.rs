@@ -10,6 +10,7 @@ use crate::store::{FieldMap, KvStore, StoreResult};
 use bytes::Bytes;
 use simkit::rng::Stream;
 use simkit::sync::{AtomicU64, Mutex, Ordering};
+use std::collections::BTreeSet;
 
 /// How transaction keys are chosen.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -153,13 +154,56 @@ enum KeyChooser {
     Latest(LatestGenerator),
 }
 
+/// The insert watermark behind `Latest` reads — YCSB's
+/// `AcknowledgedCounterGenerator`. Inserts complete out of order; the
+/// watermark only moves across a contiguous run of completed key numbers,
+/// so no key below it has an insert still in flight.
+pub struct InsertWatermark {
+    /// Every key number below this one has completed.
+    below: AtomicU64,
+    /// The lowest key number still in flight, and the completed ones
+    /// above it.
+    window: Mutex<(u64, BTreeSet<u64>)>,
+}
+
+impl InsertWatermark {
+    /// A watermark with key numbers `0..loaded` already complete.
+    pub fn new(loaded: u64) -> Self {
+        InsertWatermark {
+            below: AtomicU64::new(loaded),
+            window: Mutex::new((loaded, BTreeSet::new())),
+        }
+    }
+
+    /// Every key number below the returned one has completed.
+    pub fn completed_below(&self) -> u64 {
+        // ordering: Acquire — pairs with the Release store in `complete`:
+        // every insert below the watermark happens-before this load.
+        self.below.load(Ordering::Acquire)
+    }
+
+    /// Records that the insert of `keynum` is over and advances the
+    /// watermark across every contiguous completed key number.
+    pub fn complete(&self, keynum: u64) {
+        let mut window = self.window.lock();
+        let (next, done) = &mut *window;
+        done.insert(keynum);
+        while done.remove(next) {
+            *next += 1;
+        }
+        // ordering: Release — publishes the inserts below `next` to
+        // `completed_below`; stored under the lock, so it never regresses.
+        self.below.store(*next, Ordering::Release);
+    }
+}
+
 /// The shared, thread-safe core workload.
 pub struct CoreWorkload {
     config: WorkloadConfig,
     /// Next key number handed to an insert.
     key_sequence: AtomicU64,
-    /// Highest key number whose insert has completed (drives Latest).
-    acknowledged: AtomicU64,
+    /// Key numbers whose insert has completed (drives Latest).
+    acknowledged: InsertWatermark,
     key_chooser: Mutex<KeyChooser>,
     op_chooser: Mutex<DiscreteGenerator<OpKind>>,
     scan_length: Mutex<UniformGenerator>,
@@ -191,7 +235,7 @@ impl CoreWorkload {
         ]);
         Ok(CoreWorkload {
             key_sequence: AtomicU64::new(config.record_count),
-            acknowledged: AtomicU64::new(config.record_count.saturating_sub(1)),
+            acknowledged: InsertWatermark::new(config.record_count),
             key_chooser: Mutex::new(key_chooser),
             op_chooser: Mutex::new(op_chooser),
             scan_length: Mutex::new(UniformGenerator::new(1, config.max_scan_length as u64)),
@@ -236,10 +280,8 @@ impl CoreWorkload {
     /// Chooses a key number for a transaction, never exceeding the highest
     /// acknowledged insert.
     fn next_keynum(&self, rng: &mut Stream) -> u64 {
-        // ordering: Acquire — pairs with the Release half of the AcqRel
-        // fetch_max in the insert path: a keynum at or below `max` must have
-        // a completed (store-acknowledged) insert behind it.
-        let max = self.acknowledged.load(Ordering::Acquire);
+        // `validate` keeps record_count, and with it the watermark, above 0.
+        let max = self.acknowledged.completed_below() - 1;
         let mut chooser = self.key_chooser.lock();
         let num = match &mut *chooser {
             KeyChooser::Uniform(g) => g.next_value(rng),
@@ -280,18 +322,16 @@ impl CoreWorkload {
             OpKind::Insert => {
                 // ordering: Relaxed — pure id allocation: uniqueness comes
                 // from the RMW itself, and nothing is published until the
-                // insert completes and `acknowledged` advances below.
+                // insert completes and the watermark moves past it below.
                 // (Downgraded from AcqRel; race-check insert model passes —
                 // see EXPERIMENTS.md.)
                 let keynum = self.key_sequence.fetch_add(1, Ordering::Relaxed);
-                let result = self.insert_record(store, rng, keynum);
-                if result.is_ok() {
-                    // ordering: AcqRel — the Release half publishes the
-                    // completed insert to next_keynum()'s Acquire load; the
-                    // Acquire half keeps concurrent fetch_max calls ordered.
-                    self.acknowledged.fetch_max(keynum, Ordering::AcqRel);
-                }
-                result.is_ok()
+                let ok = self.insert_record(store, rng, keynum).is_ok();
+                // A failed insert is over too (YCSB acknowledges in
+                // `finally`): holding the watermark below it would freeze
+                // `Latest` for the rest of the run.
+                self.acknowledged.complete(keynum);
+                ok
             }
             OpKind::Scan => {
                 let key = self.build_key(self.next_keynum(rng));
@@ -323,6 +363,17 @@ mod tests {
         for i in 0..workload.config().record_count {
             workload.insert_record(store, rng, i).unwrap();
         }
+    }
+
+    #[test]
+    fn watermark_waits_for_an_insert_still_in_flight() {
+        let w = InsertWatermark::new(10);
+        assert_eq!(w.completed_below(), 10);
+        // Key 11 completes while key 10 is still in flight.
+        w.complete(11);
+        assert_eq!(w.completed_below(), 10, "key 10 is not readable yet");
+        w.complete(10);
+        assert_eq!(w.completed_below(), 12);
     }
 
     #[test]

@@ -27,7 +27,6 @@ fn main() {
     let mut cluster_config = gateway::ClusterConfig::new(&data_dir, 3);
     cluster_config.storage = iotkv::Options {
         memtable_bytes: 4 << 20,
-        background_compaction: true,
         ..iotkv::Options::default()
     };
     // Pre-split regions on substation boundaries, as the kit's setup does.

@@ -21,7 +21,6 @@ fn main() {
         memtable_bytes: 4 << 20,
         l1_bytes: 16 << 20,
         table_bytes: 4 << 20,
-        background_compaction: true,
         ..iotkv::Options::default()
     };
     let cluster = Arc::new(gateway::Cluster::start(config).expect("cluster starts"));

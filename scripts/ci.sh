@@ -48,6 +48,11 @@ if [[ "${1:-}" != "quick" ]]; then
     GOLDEN_DRIFT="$(git status --porcelain tests/golden)"
     [[ -z "$GOLDEN_DRIFT" ]] || { echo "tests/golden changed under the test run:"; echo "$GOLDEN_DRIFT"; exit 1; }
 
+    echo "== cargo test, engine + cluster, serial =="
+    # Every Db runs its background maintenance thread; one test at a time
+    # gives that thread different interleavings than the parallel pass.
+    cargo test --release -q -p iotkv -p gateway -- --test-threads=1
+
     echo "== iotbench (unit tests + smoke of all four workloads and their gates) =="
     # benchmarks/ is its own workspace, so the line above does not reach
     # it. The smoke run reopens and recounts what it ingested and checks

@@ -24,7 +24,6 @@ fn sut(dir: &std::path::Path, nodes: usize) -> GatewaySut {
         block_bytes: 4 << 10,
         l1_bytes: 8 << 20,
         table_bytes: 2 << 20,
-        background_compaction: false,
         ..iotkv::Options::default()
     };
     GatewaySut::new(gateway::Cluster::start(config).unwrap())

@@ -26,7 +26,6 @@ fn small_options() -> iotkv::Options {
         block_bytes: 4 << 10,
         l1_bytes: 8 << 20,
         table_bytes: 2 << 20,
-        background_compaction: false,
         ..iotkv::Options::default()
     }
 }

@@ -214,7 +214,6 @@ fn fdr_resilience_section_matches_golden() {
         block_bytes: 4 << 10,
         l1_bytes: 8 << 20,
         table_bytes: 2 << 20,
-        background_compaction: false,
         ..iotkv::Options::default()
     };
     // Crash + transient bursts: the same schedule re-arms every purge,

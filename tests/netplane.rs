@@ -27,7 +27,6 @@ fn cluster(dir: &std::path::Path, nodes: usize) -> gateway::Cluster {
         block_bytes: 4 << 10,
         l1_bytes: 8 << 20,
         table_bytes: 2 << 20,
-        background_compaction: false,
         ..iotkv::Options::default()
     };
     gateway::Cluster::start(config).unwrap()

@@ -396,7 +396,7 @@ mod query_props {
 
 mod generator_props {
     use super::*;
-    use ycsb::generator::{Generator, HotspotGenerator, UniformGenerator, ZipfianGenerator};
+    use ycsb::generator::{Generator, UniformGenerator, ZipfianGenerator};
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
@@ -410,11 +410,9 @@ mod generator_props {
             let mut rng = simkit::rng::Stream::new(seed);
             let mut zipf = ZipfianGenerator::new(n);
             let mut uni = UniformGenerator::new(0, n - 1);
-            let mut hot = HotspotGenerator::new(0, n - 1, 0.2, 0.8);
             for _ in 0..200 {
                 prop_assert!(zipf.next_value(&mut rng) < n);
                 prop_assert!(uni.next_value(&mut rng) < n);
-                prop_assert!(hot.next_value(&mut rng) < n);
             }
         }
     }

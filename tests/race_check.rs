@@ -224,28 +224,32 @@ fn replica_bump(replica: &AtomicU64) {
     replica.fetch_add(1, Ordering::Release);
 }
 
-/// Model of the ycsb insert-key allocator after the AcqRel -> Relaxed
-/// downgrade of `key_sequence` (see EXPERIMENTS.md): id allocation is
+/// Model of the ycsb insert path: key allocation after the AcqRel ->
+/// Relaxed downgrade of `key_sequence` (see EXPERIMENTS.md), and the real
+/// `ycsb::workload::InsertWatermark` behind `Latest` reads. Allocation is
 /// pure `fetch_add` uniqueness — no payload is published through the
-/// counter itself. Each inserter writes the payload slot its allocated
-/// id names; if Relaxed `fetch_add` could ever hand out a duplicate id,
-/// two threads would hit the same unsynchronized slot and the detector
-/// would flag a write-write race. Completed-insert visibility still
-/// flows through `acknowledged` (fetch_max AcqRel), as in the real
-/// workload, and is exercised by the concurrent watermark reader.
+/// counter itself. Each inserter writes the payload slot its allocated id
+/// names; if Relaxed `fetch_add` could ever hand out a duplicate id, two
+/// threads would hit the same unsynchronized slot and the detector would
+/// flag a write-write race. The watermark moves only across a contiguous
+/// run of completed ids, so a concurrent reader may dereference every
+/// slot below it — exactly the key `next_keynum` may hand a `Latest`
+/// read. (A `fetch_max` watermark admitted holes: it could pass an id
+/// whose insert was still in flight, and this reader would race on it.)
 #[test]
 fn ycsb_insert_ack_downgrade_is_race_free() {
     use simkit::sync::RaceCell;
+    use ycsb::workload::InsertWatermark;
 
     let report = Explorer::new(0x5e9_4110c, SCHEDULES).explore(|m| {
         let key_sequence = Arc::new(AtomicU64::new(0));
-        let acknowledged = Arc::new(AtomicU64::new(0));
+        let watermark = Arc::new(InsertWatermark::new(0));
         let slots: Arc<Vec<RaceCell<u64>>> =
             Arc::new((0..4).map(|_| RaceCell::named("insert-slot", 0)).collect());
 
         for _ in 0..2 {
             let seq = Arc::clone(&key_sequence);
-            let ack = Arc::clone(&acknowledged);
+            let ack = Arc::clone(&watermark);
             let sl = Arc::clone(&slots);
             m.thread(move || {
                 for _ in 0..2 {
@@ -254,24 +258,24 @@ fn ycsb_insert_ack_downgrade_is_race_free() {
                     // under test).
                     let id = seq.fetch_add(1, Ordering::Relaxed);
                     sl[id as usize].set(id + 100);
-                    // ordering: Release half publishes the slot write
-                    // under the watermark; Acquire half keeps fetch_max
-                    // monotone across racing inserters.
-                    ack.fetch_max(id + 1, Ordering::AcqRel);
+                    ack.complete(id);
                 }
             });
         }
 
-        let ack = Arc::clone(&acknowledged);
+        let ack = Arc::clone(&watermark);
         let seq = Arc::clone(&key_sequence);
+        let sl = Arc::clone(&slots);
         m.thread(move || {
-            // The watermark can ack id N while a *different* inserter's
-            // lower id is still in flight (fetch_max admits holes), so a
-            // concurrent reader must not dereference slots — it observes
-            // only the atomics, exactly like the real `next_keynum`.
-            // ordering: Acquire pairs with the inserters' AcqRel ack.
-            let acked = ack.load(Ordering::Acquire);
-            assert!(acked <= 4, "watermark overran the id space: {acked}");
+            let below = ack.completed_below();
+            assert!(below <= 4, "watermark overran the id space: {below}");
+            for id in 0..below {
+                assert_eq!(
+                    sl[id as usize].get(),
+                    id + 100,
+                    "slot {id} under the watermark"
+                );
+            }
             // ordering: Relaxed — monotone allocation counter, bounds
             // check only.
             assert!(seq.load(Ordering::Relaxed) <= 4);
@@ -279,9 +283,9 @@ fn ycsb_insert_ack_downgrade_is_race_free() {
 
         m.after(move || {
             // ordering: post-join reads; every id was allocated exactly
-            // once (unique slots, checked below) and acked.
+            // once (unique slots, checked below) and completed.
             assert_eq!(key_sequence.load(Ordering::Relaxed), 4);
-            assert_eq!(acknowledged.load(Ordering::Relaxed), 4);
+            assert_eq!(watermark.completed_below(), 4);
             for id in 0..4u64 {
                 assert_eq!(
                     slots[id as usize].get(),
