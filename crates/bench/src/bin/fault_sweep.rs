@@ -1,13 +1,18 @@
-//! Fault sweep: IoTps degradation and degraded-run accounting under
-//! injected cluster faults (crashes, transient errors, added latency).
+//! Fault and topology sweep: IoTps degradation and degraded-run
+//! accounting under injected cluster faults (crashes, transient errors,
+//! added latency) and under online reconfiguration (seeded region
+//! splits, replica migration to a node added mid-run, graceful node
+//! drain, alone and compounded with a crash — "elastic sharding under
+//! fire").
 //!
 //! Each case starts a fresh 3-node in-process cluster with a seeded
 //! [`gateway::FaultPlan`], drives one substation through the resilient
 //! ingest path (bounded retries with backoff, replica failover, hinted
-//! handoff), and reports throughput relative to the fault-free baseline
-//! alongside the resilience counters and the run-validity verdict. The
-//! process exits nonzero if any case goes INVALID, so CI can gate on it
-//! directly.
+//! handoff, epoch fencing), and reports throughput relative to the
+//! fault-free, static-topology baseline alongside the resilience and
+//! topology counters and the run-validity verdict (which folds in the
+//! routing consistency check). The process exits nonzero if any case
+//! goes INVALID, so CI can gate on it directly.
 //!
 //! ```sh
 //! cargo run --release -p bench --bin fault_sweep [scale]
@@ -20,30 +25,26 @@ use iotkv::Options;
 use std::sync::Arc;
 use std::time::Duration;
 use tpcx_iot::driver::{run_driver_with_telemetry, DriverConfig};
-use tpcx_iot::metrics::degraded_run_verdict;
+use tpcx_iot::metrics::{apply_topology_check, degraded_run_verdict};
 use tpcx_iot::telemetry::{
-    validate_sustained_rate, ClusterCounters, EngineCounters, MetricsRegistry, Phase,
-    PhaseSnapshot, RateViolation, RunTelemetry, SustainedRateConfig,
+    validate_sustained_rate, ClusterCounters, MetricsRegistry, Phase, PhaseSnapshot, RateViolation,
+    RunTelemetry, SustainedRateConfig,
 };
 use tpcx_iot::GatewayBackend;
-use ycsb::measurement::Measurements;
 
 struct SweepRow {
     label: String,
     iotps: f64,
-    /// Throughput relative to the fault-free case (1.0 = no degradation).
+    /// Throughput relative to the baseline case (1.0 = no degradation).
     vs_baseline: f64,
     insert_retries: u64,
     insert_failures: u64,
-    failover_reads: u64,
-    under_replicated: u64,
-    replayed_hints: u64,
-    unavailable: u64,
+    valid: bool,
     verdict: String,
     /// Per-case telemetry, exported to METRICS_EXPORT_DIR at the end.
     snapshot: PhaseSnapshot,
     violations: Vec<RateViolation>,
-    engine: EngineCounters,
+    /// Resilience, topology and engine counters at the end of the case.
     cluster: ClusterCounters,
 }
 
@@ -70,7 +71,6 @@ fn run_case(label: &str, kvps: u64, plan: Option<FaultPlan>) -> SweepRow {
     eprintln!("running: {label} ...");
     let mut dc = DriverConfig::new(0, kvps);
     dc.threads = 4;
-    let measurements = Arc::new(Measurements::new());
     // 1 s throughput windows; a window below 1 op/s (i.e. a dead stop)
     // flags the case. Faults here degrade but never halt ingestion.
     let sustained = SustainedRateConfig {
@@ -81,19 +81,18 @@ fn run_case(label: &str, kvps: u64, plan: Option<FaultPlan>) -> SweepRow {
     let report = run_driver_with_telemetry(
         &dc,
         Arc::clone(&cluster) as Arc<dyn GatewayBackend>,
-        measurements,
-        Some(&telemetry),
+        &telemetry,
     );
     let snapshot = telemetry.snapshot();
     let violations = validate_sustained_rate(&snapshot.ingest_windows, &sustained);
 
     let iotps = report.ingested as f64 / report.elapsed_secs.max(1e-9);
-    let resilience = cluster.resilience();
     let stats = cluster.stats();
-    let persisted = stats.puts;
     // Per-sensor floor scaled down with the row count so short sweep runs
-    // are judged by shape, not by wall-clock throughput.
-    let validity = degraded_run_verdict(report.ingested, persisted, iotps / 200.0, 1.0);
+    // are judged by shape, not by wall-clock throughput; the topology
+    // check then guards routing health.
+    let mut validity = degraded_run_verdict(report.ingested, stats.puts, iotps / 200.0, 1.0);
+    apply_topology_check(&mut validity, Some(&stats));
 
     let row = SweepRow {
         label: label.to_string(),
@@ -101,10 +100,7 @@ fn run_case(label: &str, kvps: u64, plan: Option<FaultPlan>) -> SweepRow {
         vs_baseline: 1.0,
         insert_retries: report.insert_retries,
         insert_failures: report.insert_failures,
-        failover_reads: resilience.failover_reads,
-        under_replicated: resilience.under_replicated_writes,
-        replayed_hints: resilience.replayed_hints,
-        unavailable: resilience.unavailable_errors,
+        valid: validity.valid,
         verdict: if validity.valid {
             validity.verdict().to_string()
         } else {
@@ -112,7 +108,6 @@ fn run_case(label: &str, kvps: u64, plan: Option<FaultPlan>) -> SweepRow {
         },
         snapshot,
         violations,
-        engine: stats.engine,
         cluster: stats,
     };
     drop(cluster);
@@ -122,21 +117,29 @@ fn run_case(label: &str, kvps: u64, plan: Option<FaultPlan>) -> SweepRow {
 
 fn print_rows(rows: &[SweepRow]) {
     println!(
-        "{:<34} {:>10} {:>6} {:>8} {:>6} {:>9} {:>8} {:>7} {:>7}  verdict",
-        "case", "IoTps", "rel", "retries", "fail", "failover", "under-r", "replay", "unavail"
+        "{:<42} {:>10} {:>6} {:>8} {:>6} {:>9} {:>8} {:>7} {:>7} {:>7} {:>6} {:>6} {:>7} {:>6} {:>6}  verdict",
+        "case", "IoTps", "rel", "retries", "fail", "failover", "under-r", "replay", "unavail",
+        "splits", "migr+", "migr-", "drains", "stale", "epoch"
     );
     for r in rows {
+        let res = &r.cluster.resilience;
         println!(
-            "{:<34} {:>10.0} {:>6.2} {:>8} {:>6} {:>9} {:>8} {:>7} {:>7}  {}",
+            "{:<42} {:>10.0} {:>6.2} {:>8} {:>6} {:>9} {:>8} {:>7} {:>7} {:>7} {:>6} {:>6} {:>7} {:>6} {:>6}  {}",
             r.label,
             r.iotps,
             r.vs_baseline,
             r.insert_retries,
             r.insert_failures,
-            r.failover_reads,
-            r.under_replicated,
-            r.replayed_hints,
-            r.unavailable,
+            res.failover_reads,
+            res.under_replicated_writes,
+            res.replayed_hints,
+            res.unavailable_errors,
+            res.splits,
+            res.migrations_completed,
+            res.migrations_aborted,
+            res.drains,
+            res.stale_route_retries,
+            r.cluster.epoch,
             r.verdict,
         );
     }
@@ -145,9 +148,13 @@ fn print_rows(rows: &[SweepRow]) {
 fn main() {
     let scale = scale_arg(20);
     let kvps = (2_000_000 / scale.max(1)).max(20_000);
-    println!("== Fault sweep: 3-node cluster, {kvps} kvps per case ==");
+    println!("== Fault and topology sweep: 3-node cluster, {kvps} kvps per case ==");
 
-    let mut rows = vec![run_case("baseline (no faults)", kvps, None)];
+    let mut rows = vec![run_case(
+        "baseline (no faults, static topology)",
+        kvps,
+        None,
+    )];
     let baseline = rows[0].iotps;
 
     // Transient-error intensity: error bursts on a growing fraction of ops.
@@ -193,6 +200,56 @@ fn main() {
         ),
     ));
 
+    // Write-rate threshold splits: the hotter the threshold, the more
+    // online splits the run absorbs.
+    for threshold in [kvps / 4, kvps / 16] {
+        rows.push(run_case(
+            &format!("threshold split every {threshold} writes"),
+            kvps,
+            Some(FaultPlan::quiet(11).with_split_threshold(threshold)),
+        ));
+    }
+
+    // A planned split at an explicit key, mid-run.
+    rows.push(run_case(
+        "planned split at midpoint",
+        kvps,
+        Some(FaultPlan::quiet(11).with_split(kvps / 2, b"PSS-000000|pmu-050")),
+    ));
+
+    // Node add: node 3 arrives mid-run and a replica migrates onto it
+    // while ingest continues.
+    rows.push(run_case(
+        "node add + live migration",
+        kvps,
+        Some(FaultPlan::quiet(11).with_node_add(kvps / 3)),
+    ));
+
+    // Graceful drain of a replica-holding node.
+    rows.push(run_case(
+        "drain node 1 mid-run",
+        kvps,
+        Some(
+            FaultPlan::quiet(11)
+                .with_node_add(kvps / 4)
+                .with_drain(1, kvps / 2),
+        ),
+    ));
+
+    // The full elastic scenario: splits, a node add with migration, and
+    // a drain — compounded with a primary crash window.
+    rows.push(run_case(
+        "elastic under fire (split+add+drain+crash)",
+        kvps,
+        Some(
+            FaultPlan::quiet(11)
+                .with_split_threshold(kvps / 8)
+                .with_node_add(kvps / 4)
+                .with_drain(1, kvps / 2)
+                .with_crash(2, kvps / 3, Some(kvps / 10)),
+        ),
+    ));
+
     for r in &mut rows {
         r.vs_baseline = r.iotps / baseline.max(1e-9);
     }
@@ -212,15 +269,38 @@ fn main() {
         t5.insert_retries,
         t50.insert_retries > t5.insert_retries
     );
-    let crash = by_label("crash 50% of run");
+    let crash = &by_label("crash 50% of run").cluster.resilience;
     println!(
         "  primary crash forces failover reads + hinted writes: {} failovers, {} under-replicated ({})",
         crash.failover_reads,
-        crash.under_replicated,
-        crash.failover_reads > 0 && crash.under_replicated > 0
+        crash.under_replicated_writes,
+        crash.failover_reads > 0 && crash.under_replicated_writes > 0
     );
-    let ok = rows.iter().all(|r| r.verdict.starts_with("VALID"));
-    println!("  resilient path keeps every degraded run valid: {ok}");
+    let hot = &by_label(&format!("every {} writes", kvps / 16)).cluster;
+    let cool = &by_label(&format!("every {} writes", kvps / 4)).cluster;
+    println!(
+        "  hotter thresholds split more: 1/16={} > 1/4={} ({})",
+        hot.resilience.splits,
+        cool.resilience.splits,
+        hot.resilience.splits > cool.resilience.splits
+    );
+    let add = &by_label("node add").cluster;
+    println!(
+        "  node add lands a live migration: {} completed, epoch {} ({})",
+        add.resilience.migrations_completed,
+        add.epoch,
+        add.resilience.migrations_completed >= 1
+    );
+    let fire = &by_label("elastic under fire").cluster.resilience;
+    println!(
+        "  compound case reconfigures under fire: {} splits, {} migrations, {} drains ({})",
+        fire.splits,
+        fire.migrations_completed,
+        fire.drains,
+        fire.splits >= 1 && fire.migrations_completed >= 1 && fire.drains >= 1
+    );
+    let ok = rows.iter().all(|r| r.valid);
+    println!("  every faulted or reconfigured run stays VALID with consistent routing: {ok}");
     let stalls = rows.iter().all(|r| r.violations.is_empty());
     println!("  no case ever stalled a full 1s window: {stalls}");
 
@@ -233,7 +313,7 @@ fn main() {
     export_metrics(&rows);
 
     if !ok {
-        eprintln!("FAIL: at least one fault case went INVALID");
+        eprintln!("FAIL: at least one fault or topology case went INVALID");
         std::process::exit(1);
     }
 }
@@ -251,18 +331,17 @@ fn export_metrics(rows: &[SweepRow]) {
         std::process::exit(1);
     }
     let mut registry = MetricsRegistry::new();
-    let mut valid = true;
     for r in rows {
         registry.add_phase(r.label.clone(), r.snapshot.clone(), r.violations.clone());
-        registry.engine.accumulate(&r.engine);
+        registry.engine.accumulate(&r.cluster.engine);
         match registry.cluster.as_mut() {
             Some(total) => total.merge(&r.cluster),
             None => registry.cluster = Some(r.cluster.clone()),
         }
-        valid &= r.verdict.starts_with("VALID");
     }
+    let valid = rows.iter().all(|r| r.valid);
     registry.verdict = if valid { "VALID" } else { "INVALID" }.into();
-    for r in rows.iter().filter(|r| !r.verdict.starts_with("VALID")) {
+    for r in rows.iter().filter(|r| !r.valid) {
         registry
             .verdict_reasons
             .push(format!("{}: {}", r.label, r.verdict));

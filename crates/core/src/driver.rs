@@ -13,7 +13,8 @@ use crate::datagen::ReadingGenerator;
 use crate::query::{execute_with_retry, QuerySpec};
 use crate::retry::{with_retry, RetryPolicy};
 use crate::sensors::substation_key;
-use crate::telemetry::RunTelemetry;
+use crate::telemetry::{OpClass, Phase, RunTelemetry, ThreadRecorder, DEFAULT_WINDOW_NANOS};
+use bytes::Bytes;
 use simkit::rng::{derive_seed, Stream};
 use simkit::stats::Moments;
 use std::sync::Arc;
@@ -81,31 +82,41 @@ pub struct DriverReport {
 
 /// Runs one driver instance to completion (blocking).
 ///
-/// Latencies land in `measurements` (`Insert` for ingestion, `Scan` for
-/// queries) so many instances can share one sink.
+/// Successful latencies land in `measurements` (`Insert` for ingestion,
+/// `Scan` for queries) so many instances can share one sink. The driver
+/// records into its own [`RunTelemetry`] and fills the sink once, when
+/// it finishes — one lock per op kind per driver, not one per op.
 pub fn run_driver(
     config: &DriverConfig,
     backend: Arc<dyn GatewayBackend>,
     measurements: Arc<Measurements>,
 ) -> DriverReport {
-    run_driver_with_telemetry(config, backend, measurements, None)
+    // The phase only labels snapshots, and nobody snapshots this sink.
+    let telemetry = RunTelemetry::new(Phase::Measured, DEFAULT_WINDOW_NANOS);
+    let report = run_driver_with_telemetry(config, backend, &telemetry);
+    let rec = telemetry.merged_recorder();
+    measurements.merge_ok(OpKind::Insert, rec.histogram(OpClass::Ingest));
+    measurements.merge_ok(OpKind::Insert, rec.histogram(OpClass::Batch));
+    measurements.merge_ok(OpKind::Scan, rec.histogram(OpClass::Query));
+    report
 }
 
-/// [`run_driver`] with an optional telemetry sink. Each thread records
-/// into a private [`ThreadRecorder`](crate::telemetry::ThreadRecorder)
-/// (no cross-thread contention on the hot path) and folds it into
-/// `telemetry` once, when its quota is done.
+/// Runs one driver instance with `telemetry` as its only per-op sink.
+/// Each thread records into a private
+/// [`ThreadRecorder`](crate::telemetry::ThreadRecorder) (no cross-thread
+/// contention on the hot path) and folds it into `telemetry` once, when
+/// its quota is done.
 pub fn run_driver_with_telemetry(
     config: &DriverConfig,
     backend: Arc<dyn GatewayBackend>,
-    measurements: Arc<Measurements>,
-    telemetry: Option<&RunTelemetry>,
+    telemetry: &RunTelemetry,
 ) -> DriverReport {
     // lint:allow(panic-reachability) configuration invariant, not a
     // runtime hazard: the default is 10, the bench bins set it from
     // validated flags, and `execute_phase` rejects a wire spec with
-    // zero threads before this call — so the assert only fires on a
-    // programming error in a caller, where loud beats silent.
+    // zero threads (or a zero telemetry window) before it reaches
+    // `runner::drive_substations` and this call — so the assert only
+    // fires on a programming error in a caller, where loud beats silent.
     assert!(config.threads > 0, "driver needs at least one thread");
     let substation = substation_key(config.substation_index);
     let started = Instant::now();
@@ -113,170 +124,16 @@ pub fn run_driver_with_telemetry(
     let threads = config.threads.min(config.kvps.max(1) as usize);
     let per_thread = config.kvps / threads as u64;
     let remainder = config.kvps % threads as u64;
-    let query_interval = 10_000u64
-        .checked_div(config.queries_per_10k)
-        .unwrap_or(u64::MAX);
-
-    struct ThreadOutcome {
-        ingested: u64,
-        insert_failures: u64,
-        insert_retries: u64,
-        queries: u64,
-        query_failures: u64,
-        query_retries: u64,
-        rows: Moments,
-    }
-
-    let outcomes: Vec<ThreadOutcome> = std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for t in 0..threads {
-            let backend = Arc::clone(&backend);
-            let measurements = Arc::clone(&measurements);
-            let substation = substation.clone();
-            let quota = per_thread + if (t as u64) < remainder { 1 } else { 0 };
-            let gen_seed = derive_seed(config.seed, 0xD0_0000 + t as u64);
-            let query_seed = derive_seed(config.seed, 0x9E_0000 + t as u64);
-            let retry_seed = derive_seed(config.seed, 0xB0_0000 + t as u64);
-            handles.push(scope.spawn(move || {
-                let mut gen = ReadingGenerator::for_thread(
-                    substation.clone(),
-                    gen_seed,
-                    config.epoch_ms,
-                    config.sweep_ms,
-                    t,
-                    threads,
-                );
-                let sensor_keys = gen.sensor_keys();
-                let mut query_rng = Stream::new(query_seed);
-                let mut retry_rng = Stream::new(retry_seed);
-                let mut out = ThreadOutcome {
-                    ingested: 0,
-                    insert_failures: 0,
-                    insert_retries: 0,
-                    queries: 0,
-                    query_failures: 0,
-                    query_retries: 0,
-                    rows: Moments::new(),
-                };
-                let mut recorder = telemetry.map(|t| t.recorder());
-                let mut since_query = 0u64;
-                let batch_size = config.batch_size.max(1);
-                let mut buf: Vec<(bytes::Bytes, bytes::Bytes)> = Vec::with_capacity(batch_size);
-                // Flushes the write buffer as one backend batch. The batch
-                // is the retry and acknowledgement unit: an error means
-                // nothing in it was acked, so all of it counts as failed.
-                let flush = |buf: &mut Vec<(bytes::Bytes, bytes::Bytes)>,
-                             retry_rng: &mut Stream,
-                             recorder: &mut Option<crate::telemetry::ThreadRecorder>,
-                             out: &mut ThreadOutcome| {
-                    if buf.is_empty() {
-                        return;
-                    }
-                    let fill = buf.len() as u64;
-                    let op_start = Instant::now();
-                    let attempt =
-                        with_retry(&config.retry, retry_rng, || backend.insert_batch(buf));
-                    out.insert_retries += attempt.retries;
-                    let latency = op_start.elapsed().as_nanos() as u64;
-                    match attempt.result {
-                        Ok(()) => {
-                            measurements.record_ok(OpKind::Insert, latency);
-                            if let (Some(rec), Some(t)) = (recorder.as_mut(), telemetry) {
-                                rec.record_batch(t.now_nanos(), latency, fill, attempt.retries);
-                            }
-                            out.ingested += fill;
-                        }
-                        Err(_) => {
-                            measurements.record_failure(OpKind::Insert, latency);
-                            if let Some(rec) = recorder.as_mut() {
-                                rec.record_failed(latency);
-                            }
-                            out.insert_failures += fill;
-                        }
-                    }
-                    buf.clear();
-                };
-                for _ in 0..quota {
-                    let (k, v) = gen.next_kvp();
-                    if batch_size > 1 {
-                        buf.push((k, v));
-                        if buf.len() >= batch_size {
-                            flush(&mut buf, &mut retry_rng, &mut recorder, &mut out);
-                        }
-                    } else {
-                        let op_start = Instant::now();
-                        let attempt =
-                            with_retry(&config.retry, &mut retry_rng, || backend.insert(&k, &v));
-                        out.insert_retries += attempt.retries;
-                        let latency = op_start.elapsed().as_nanos() as u64;
-                        match attempt.result {
-                            Ok(()) => {
-                                measurements.record_ok(OpKind::Insert, latency);
-                                if let (Some(rec), Some(t)) = (recorder.as_mut(), telemetry) {
-                                    rec.record_ingest(t.now_nanos(), latency, attempt.retries);
-                                }
-                                out.ingested += 1;
-                            }
-                            Err(_) => {
-                                measurements.record_failure(OpKind::Insert, latency);
-                                if let Some(rec) = recorder.as_mut() {
-                                    rec.record_failed(latency);
-                                }
-                                out.insert_failures += 1;
-                            }
-                        }
-                    }
-                    since_query += 1;
-                    if since_query >= query_interval {
-                        since_query = 0;
-                        // Queries must see every reading generated so far.
-                        flush(&mut buf, &mut retry_rng, &mut recorder, &mut out);
-                        let spec = QuerySpec::generate(
-                            &mut query_rng,
-                            &substation,
-                            &sensor_keys,
-                            gen.now_ms(),
-                        );
-                        let q_start = Instant::now();
-                        // Per-interval retry: a transient scan fault
-                        // re-streams one 5 s window inside the query
-                        // instead of re-running both windows.
-                        let result = execute_with_retry(
-                            backend.as_ref(),
-                            &spec,
-                            &config.retry,
-                            &mut retry_rng,
-                        );
-                        let latency = q_start.elapsed().as_nanos() as u64;
-                        match result {
-                            Ok(outcome) => {
-                                out.query_retries += outcome.retries;
-                                measurements.record_ok(OpKind::Scan, latency);
-                                if let (Some(rec), Some(t)) = (recorder.as_mut(), telemetry) {
-                                    let now = t.now_nanos();
-                                    rec.record_query(now, latency, outcome.retries);
-                                    rec.record_scan(now, latency, outcome.rows_read);
-                                }
-                                out.rows.record(outcome.rows_read as f64);
-                                out.queries += 1;
-                            }
-                            Err(_) => {
-                                measurements.record_failure(OpKind::Scan, latency);
-                                if let Some(rec) = recorder.as_mut() {
-                                    rec.record_failed(latency);
-                                }
-                                out.query_failures += 1;
-                            }
-                        }
-                    }
-                }
-                flush(&mut buf, &mut retry_rng, &mut recorder, &mut out);
-                if let (Some(rec), Some(t)) = (recorder.as_ref(), telemetry) {
-                    t.absorb(rec);
-                }
-                out
-            }));
-        }
+    let clients: Vec<Client> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..threads)
+            .map(|t| {
+                let quota = per_thread + u64::from((t as u64) < remainder);
+                let (backend, substation) = (backend.as_ref(), &substation);
+                scope.spawn(move || {
+                    Client::run(config, backend, telemetry, substation, t, threads, quota)
+                })
+            })
+            .collect();
         handles
             .into_iter()
             .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
@@ -294,16 +151,162 @@ pub fn run_driver_with_telemetry(
         rows_per_query: Moments::new(),
         elapsed_secs: started.elapsed().as_secs_f64(),
     };
-    for o in outcomes {
-        report.ingested += o.ingested;
-        report.insert_failures += o.insert_failures;
-        report.insert_retries += o.insert_retries;
-        report.queries_executed += o.queries;
-        report.query_failures += o.query_failures;
-        report.query_retries += o.query_retries;
-        report.rows_per_query = merge_moments(report.rows_per_query, o.rows);
+    for c in clients {
+        report.ingested += c.ingested;
+        report.insert_failures += c.insert_failures;
+        report.insert_retries += c.insert_retries;
+        report.queries_executed += c.queries;
+        report.query_failures += c.query_failures;
+        report.query_retries += c.query_retries;
+        report.rows_per_query = merge_moments(report.rows_per_query, c.rows);
     }
     report
+}
+
+/// One client thread: its tallies and its private recorder. Every op
+/// outcome is recorded here exactly once, by [`Client::write`] or
+/// [`Client::query`].
+struct Client<'a> {
+    config: &'a DriverConfig,
+    backend: &'a dyn GatewayBackend,
+    telemetry: &'a RunTelemetry,
+    rec: ThreadRecorder,
+    retry_rng: Stream,
+    ingested: u64,
+    insert_failures: u64,
+    insert_retries: u64,
+    queries: u64,
+    query_failures: u64,
+    query_retries: u64,
+    rows: Moments,
+}
+
+impl<'a> Client<'a> {
+    /// Client thread `t` of `threads`: ingests `quota` readings from its
+    /// slice of the substation's sensors, writing `batch_size` at a time
+    /// and querying at the spec cadence, then folds its recorder into
+    /// `telemetry`.
+    fn run(
+        config: &'a DriverConfig,
+        backend: &'a dyn GatewayBackend,
+        telemetry: &'a RunTelemetry,
+        substation: &str,
+        t: usize,
+        threads: usize,
+        quota: u64,
+    ) -> Client<'a> {
+        let seed = |stream: u64| derive_seed(config.seed, stream + t as u64);
+        let mut gen = ReadingGenerator::for_thread(
+            substation,
+            seed(0xD0_0000),
+            config.epoch_ms,
+            config.sweep_ms,
+            t,
+            threads,
+        );
+        let sensor_keys = gen.sensor_keys();
+        let mut query_rng = Stream::new(seed(0x9E_0000));
+        let query_interval = 10_000u64
+            .checked_div(config.queries_per_10k)
+            .unwrap_or(u64::MAX);
+        let batch_size = config.batch_size.max(1);
+        let mut client = Client {
+            config,
+            backend,
+            telemetry,
+            rec: telemetry.recorder(),
+            retry_rng: Stream::new(seed(0xB0_0000)),
+            ingested: 0,
+            insert_failures: 0,
+            insert_retries: 0,
+            queries: 0,
+            query_failures: 0,
+            query_retries: 0,
+            rows: Moments::new(),
+        };
+        let mut buf = Vec::with_capacity(batch_size);
+        let mut since_query = 0u64;
+        for _ in 0..quota {
+            buf.push(gen.next_kvp());
+            if buf.len() >= batch_size {
+                client.write(&mut buf);
+            }
+            since_query += 1;
+            if since_query >= query_interval {
+                since_query = 0;
+                // Queries must see every reading generated so far.
+                client.write(&mut buf);
+                client.query(&QuerySpec::generate(
+                    &mut query_rng,
+                    substation,
+                    &sensor_keys,
+                    gen.now_ms(),
+                ));
+            }
+        }
+        client.write(&mut buf);
+        telemetry.absorb(&client.rec);
+        client
+    }
+
+    /// Writes the buffer as one backend op — a put at batch size 1, a
+    /// batch otherwise — and records its outcome. The batch is the retry
+    /// and acknowledgement unit: an error means nothing in it was acked,
+    /// so all of it counts as failed.
+    fn write(&mut self, buf: &mut Vec<(Bytes, Bytes)>) {
+        if buf.is_empty() {
+            return;
+        }
+        let fill = buf.len() as u64;
+        let batched = self.config.batch_size > 1;
+        let op_start = Instant::now();
+        let attempt = with_retry(&self.config.retry, &mut self.retry_rng, || match &buf[..] {
+            [(k, v)] if !batched => self.backend.insert(k, v),
+            items => self.backend.insert_batch(items),
+        });
+        let latency = op_start.elapsed().as_nanos() as u64;
+        self.insert_retries += attempt.retries;
+        match attempt.result {
+            Ok(()) => {
+                let now = self.telemetry.now_nanos();
+                if batched {
+                    self.rec.record_batch(now, latency, fill, attempt.retries);
+                } else {
+                    self.rec.record_ingest(now, latency, attempt.retries);
+                }
+                self.ingested += fill;
+            }
+            Err(_) => {
+                self.rec.record_failed(latency);
+                self.insert_failures += fill;
+            }
+        }
+        buf.clear();
+    }
+
+    /// Runs one dashboard query and records its outcome. Per-interval
+    /// retry: a transient scan fault re-streams one 5 s window inside
+    /// the query instead of re-running both windows.
+    fn query(&mut self, spec: &QuerySpec) {
+        let q_start = Instant::now();
+        let result =
+            execute_with_retry(self.backend, spec, &self.config.retry, &mut self.retry_rng);
+        let latency = q_start.elapsed().as_nanos() as u64;
+        match result {
+            Ok(outcome) => {
+                let now = self.telemetry.now_nanos();
+                self.rec.record_query(now, latency, outcome.retries);
+                self.rec.record_scan(now, latency, outcome.rows_read);
+                self.query_retries += outcome.retries;
+                self.rows.record(outcome.rows_read as f64);
+                self.queries += 1;
+            }
+            Err(_) => {
+                self.rec.record_failed(latency);
+                self.query_failures += 1;
+            }
+        }
+    }
 }
 
 /// Merges two Welford accumulators (Chan et al. parallel combination).
@@ -328,30 +331,52 @@ fn merge_moments(a: Moments, b: Moments) -> Moments {
     merged
 }
 
-/// A public alias so callers can name the instance.
-pub type DriverInstance = DriverConfig;
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::backend::MemBackend;
 
+    /// Runs `config` through `run_driver_with_telemetry` and through
+    /// `run_driver`, each on a fresh in-memory backend, and checks the
+    /// one-sink contract: every op lands in exactly one recorder class,
+    /// and the `run_driver` sink holds the recorder's successful counts.
+    fn run_recorded(config: &DriverConfig) -> (DriverReport, ThreadRecorder) {
+        let backend = Arc::new(MemBackend::new());
+        let telemetry = RunTelemetry::new(Phase::Measured, DEFAULT_WINDOW_NANOS);
+        let report = run_driver_with_telemetry(config, backend.clone(), &telemetry);
+        assert_eq!(backend.ingested_count(), report.ingested, "every kvp acked");
+        let rec = telemetry.merged_recorder();
+        let count = |class| rec.histogram(class).count();
+        assert_eq!(count(OpClass::Query), report.queries_executed);
+        assert_eq!(count(OpClass::Scan), report.queries_executed);
+        assert_eq!(count(OpClass::Failed), 0);
+
+        let sink = Arc::new(Measurements::new());
+        let again = run_driver(config, Arc::new(MemBackend::new()), Arc::clone(&sink));
+        assert_eq!(again.ingested, report.ingested);
+        assert_eq!(again.queries_executed, report.queries_executed);
+        assert_eq!(
+            sink.ok_count(OpKind::Insert),
+            count(OpClass::Ingest) + count(OpClass::Batch)
+        );
+        assert_eq!(sink.ok_count(OpKind::Scan), count(OpClass::Query));
+        (report, rec)
+    }
+
     #[test]
     fn driver_ingests_exact_quota_and_queries_at_spec_rate() {
-        let backend = Arc::new(MemBackend::new());
-        let measurements = Arc::new(Measurements::new());
         let mut config = DriverConfig::new(0, 20_000);
         config.threads = 4;
-        let report = run_driver(&config, backend.clone(), measurements.clone());
+        let (report, rec) = run_recorded(&config);
         assert_eq!(report.ingested, 20_000);
         assert_eq!(report.insert_failures, 0);
-        assert_eq!(backend.ingested_count(), 20_000);
         // 5 queries per 10k readings: every 2000 readings per thread;
         // 4 threads × 5000 readings → 2 queries each = 8 total.
         assert_eq!(report.queries_executed, 8);
         assert_eq!(report.query_failures, 0);
-        assert_eq!(measurements.ok_count(OpKind::Insert), 20_000);
-        assert_eq!(measurements.ok_count(OpKind::Scan), 8);
+        // Batch size 1: one `Ingest` sample per acked kvp, no `Batch`.
+        assert_eq!(rec.histogram(OpClass::Ingest).count(), report.ingested);
+        assert_eq!(rec.histogram(OpClass::Batch).count(), 0);
         assert!(report.rows_per_query.count() == 8);
         // Queries over freshly ingested 5s windows see rows.
         assert!(report.rows_per_query.mean() > 0.0, "queries found data");
@@ -359,20 +384,18 @@ mod tests {
 
     #[test]
     fn batched_driver_ingests_quota_and_flushes_at_query_boundaries() {
-        let backend = Arc::new(MemBackend::new());
-        let measurements = Arc::new(Measurements::new());
         let mut config = DriverConfig::new(0, 20_000);
         config.threads = 4;
         config.batch_size = 16;
-        let report = run_driver(&config, backend.clone(), measurements.clone());
+        let (report, rec) = run_recorded(&config);
         assert_eq!(report.ingested, 20_000);
         assert_eq!(report.insert_failures, 0);
-        assert_eq!(backend.ingested_count(), 20_000, "every kvp acked");
         assert_eq!(report.queries_executed, 8, "query cadence unchanged");
         // Per thread: 312 full batches of 16 plus one final flush of 8
-        // (the query boundaries at 2000 and 4000 land on a full batch).
-        assert_eq!(measurements.ok_count(OpKind::Insert), 4 * 313);
-        assert_eq!(measurements.ok_count(OpKind::Scan), 8);
+        // (the query boundaries at 2000 and 4000 land on a full batch);
+        // one `Batch` sample per flush, no `Ingest`.
+        assert_eq!(rec.histogram(OpClass::Batch).count(), 4 * 313);
+        assert_eq!(rec.histogram(OpClass::Ingest).count(), 0);
         // The pre-query flush makes fresh readings visible: the current
         // 5s window is never empty.
         assert!(report.rows_per_query.mean() > 0.0, "queries found data");

@@ -62,7 +62,6 @@ pub mod telemetry;
 
 pub use backend::GatewayBackend;
 pub use datagen::ReadingGenerator;
-pub use driver::DriverInstance;
 pub use keys::{decode_reading, encode_reading, SensorReading, KVP_SIZE};
 pub use metrics::{iotps, price_performance, BenchmarkMetrics};
 pub use netplane::{run_agent, run_networked, spawn_local_agent, FleetConfig, NetBackend};

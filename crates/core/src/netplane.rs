@@ -15,10 +15,10 @@
 //! checks, cleanup, and metric derivation — the whole benchmark
 //! protocol of [`BenchmarkRunner::run_with`]. What it delegates is the
 //! workload execution: each agent receives a [`RunPhaseSpec`] naming a
-//! contiguous substation range and the *phase* seed, derives exactly
-//! the per-substation seeds the in-process runner would
-//! (`derive_seed(phase_seed, global_substation_index)`), runs its
-//! drivers against the gateway socket, and ships back per-substation
+//! contiguous substation range and the *phase* seed, runs the in-process
+//! runner's own execution routine over that range against the gateway
+//! socket (so every driver gets the seed and kvp share it would get
+//! in-process), and ships back per-substation
 //! [`OpSummary`] rows plus the raw merged telemetry recorder. Raw
 //! histogram buckets — not quantile summaries — cross the wire, so the
 //! controller-side merge is bit-identical to an in-process merge: the
@@ -32,23 +32,23 @@
 //! naming the agent.
 
 use crate::backend::{BackendError, BackendResult, GatewayBackend};
-use crate::driver::{run_driver_with_telemetry, DriverConfig};
 use crate::retry::RetryPolicy;
-use crate::runner::{BenchmarkOutcome, BenchmarkRunner, ExecutionOutcome, GatewaySut};
-use crate::telemetry::{validate_sustained_rate, OpClass, Phase, RunTelemetry, ThreadRecorder};
+use crate::runner::{
+    drive_substations, fold_execution, BenchmarkConfig, BenchmarkOutcome, BenchmarkRunner,
+    ExecutionOutcome, GatewaySut,
+};
+use crate::telemetry::{OpClass, Phase, ThreadRecorder};
 use bytes::Bytes;
 use gateway::server::GatewayServer;
-use simkit::rng::derive_seed;
-use simkit::stats::{Histogram, Moments, TimeSeries};
+use simkit::stats::{Histogram, TimeSeries};
 use std::net::TcpListener;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use wire::msg::{ROLE_AGENT, ROLE_DRIVER};
 use wire::{
-    FrameConn, HistogramState, Message, MomentsState, OpSummary, RecorderState, RetryState,
-    RunPhaseSpec, SeriesState, WireError,
+    FrameConn, HistogramState, Message, OpSummary, RecorderState, RetryState, RunPhaseSpec,
+    SeriesState, WireError,
 };
-use ycsb::measurement::Measurements;
 
 // ---------------------------------------------------------------------------
 // State conversions: telemetry/retry types ↔ wire payloads
@@ -163,17 +163,6 @@ pub fn retry_from_state(s: &RetryState) -> RetryPolicy {
         max_backoff: Duration::from_nanos(s.max_backoff_nanos),
         deadline: Duration::from_nanos(s.deadline_nanos),
         jitter: s.jitter,
-    }
-}
-
-fn moments_to_state(m: &Moments) -> MomentsState {
-    let (n, mean, m2, min, max) = m.parts();
-    MomentsState {
-        n,
-        mean,
-        m2,
-        min,
-        max,
     }
 }
 
@@ -351,22 +340,9 @@ impl GatewayBackend for NetBackend {
 // Agent: the remote driver host
 // ---------------------------------------------------------------------------
 
-/// The spec's equation (3) kvp split over *global* substation indices:
-/// instance `i` of `substations` ingests `⌊K/P⌋` kvps, the last
-/// instance also takes `K mod P` — identical to
-/// [`crate::runner::BenchmarkConfig::kvps_for_instance`] regardless of
-/// how substations are partitioned across agents.
-fn kvps_for_global_instance(total_kvps: u64, substations: u32, i: u32) -> u64 {
-    let per = total_kvps / substations as u64;
-    if i + 1 == substations {
-        per + total_kvps % substations as u64
-    } else {
-        per
-    }
-}
-
-/// Executes one phase of the workload for the agent's substation range:
-/// one driver instance per substation, all against the gateway socket.
+/// Executes one phase of the workload for the agent's substation range
+/// against the gateway socket — [`drive_substations`], the routine the
+/// in-process runner uses, behind the protocol-boundary checks.
 fn execute_phase(spec: &RunPhaseSpec) -> Result<(Vec<OpSummary>, RecorderState), String> {
     if spec.sub_hi < spec.sub_lo || spec.sub_hi > spec.substations {
         return Err(format!(
@@ -375,69 +351,17 @@ fn execute_phase(spec: &RunPhaseSpec) -> Result<(Vec<OpSummary>, RecorderState),
         ));
     }
     // The spec arrives over the wire; reject it at the protocol boundary
-    // instead of letting the driver's own invariant check panic a whole
-    // agent on a malformed controller.
+    // instead of letting the driver's or the telemetry's own invariant
+    // checks panic a whole agent on a malformed controller.
     if spec.threads == 0 {
         return Err("phase spec requires at least one driver thread".to_string());
     }
-    let phase = if spec.phase == 0 {
-        Phase::Warmup
-    } else {
-        Phase::Measured
-    };
-    let backend: Arc<dyn GatewayBackend> = Arc::new(NetBackend::connect(
-        &spec.gateway_addr,
-        wire::DEFAULT_READ_TIMEOUT,
-    )?);
-    let measurements = Arc::new(Measurements::new());
-    let telemetry = RunTelemetry::new(phase, spec.window_nanos);
-    let retry = retry_from_state(&spec.retry);
-    let reports: Vec<(u32, crate::driver::DriverReport)> = std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for i in spec.sub_lo..spec.sub_hi {
-            let backend = Arc::clone(&backend);
-            let measurements = Arc::clone(&measurements);
-            let telemetry = &telemetry;
-            let mut dc = DriverConfig::new(
-                i as usize,
-                kvps_for_global_instance(spec.total_kvps, spec.substations, i),
-            );
-            dc.threads = spec.threads as usize;
-            // The *global* substation index seeds the driver, so the
-            // fleet partitioning never changes any driver's schedule.
-            dc.seed = derive_seed(spec.seed, i as u64);
-            dc.epoch_ms = spec.epoch_ms;
-            dc.sweep_ms = spec.sweep_ms;
-            dc.queries_per_10k = spec.queries_per_10k;
-            dc.retry = retry;
-            dc.batch_size = spec.batch_size as usize;
-            handles.push((
-                i,
-                scope.spawn(move || {
-                    run_driver_with_telemetry(&dc, backend, measurements, Some(telemetry))
-                }),
-            ));
-        }
-        handles
-            .into_iter()
-            .map(|(i, h)| (i, h.join().unwrap_or_else(|e| std::panic::resume_unwind(e))))
-            .collect()
-    });
-    let summaries = reports
-        .iter()
-        .map(|(i, r)| OpSummary {
-            substation: *i,
-            ingested: r.ingested,
-            insert_failures: r.insert_failures,
-            insert_retries: r.insert_retries,
-            queries: r.queries_executed,
-            query_failures: r.query_failures,
-            query_retries: r.query_retries,
-            rows: moments_to_state(&r.rows_per_query),
-            elapsed_secs: r.elapsed_secs,
-        })
-        .collect();
-    Ok((summaries, recorder_to_state(&telemetry.merged_recorder())))
+    if spec.window_nanos == 0 {
+        return Err("phase spec requires a nonzero telemetry window".to_string());
+    }
+    let backend = NetBackend::connect(&spec.gateway_addr, wire::DEFAULT_READ_TIMEOUT)?;
+    let (rows, recorder) = drive_substations(spec, Arc::new(backend));
+    Ok((rows, recorder_to_state(&recorder)))
 }
 
 /// Serves one agent: accepts controller connections on `listener` and
@@ -610,12 +534,11 @@ pub fn run_networked(
 }
 
 /// One fleet-wide workload execution: fan the phase spec out, collect
-/// every agent's `PhaseDone`, and aggregate exactly as the in-process
-/// runner does (substation order for the f64 folds, merged recorders
-/// for latency summaries and throughput windows).
+/// every agent's `PhaseDone`, merge the shipped recorders, and fold the
+/// substation rows exactly as the in-process runner does.
 fn run_fleet_phase(
     agents: &mut [AgentHandle],
-    config: &crate::runner::BenchmarkConfig,
+    config: &BenchmarkConfig,
     gateway_addr: &str,
     seed: u64,
     epoch_ms: u64,
@@ -623,25 +546,13 @@ fn run_fleet_phase(
     phase_timeout: Duration,
 ) -> Result<ExecutionOutcome, String> {
     let started = Instant::now();
-    // The in-process runner leaves sweep cadence and query mix at the
-    // driver defaults; the fleet must ship the same values.
-    let driver_defaults = DriverConfig::new(0, 0);
+    let template = config.phase_spec(seed, epoch_ms, phase);
     for agent in agents.iter_mut() {
         let spec = RunPhaseSpec {
-            phase: if phase == Phase::Warmup { 0 } else { 1 },
-            seed,
-            epoch_ms,
             sub_lo: agent.sub_lo,
             sub_hi: agent.sub_hi,
-            substations: config.substations as u32,
-            total_kvps: config.total_kvps,
-            threads: config.threads_per_driver as u32,
-            batch_size: config.batch_size as u32,
-            sweep_ms: driver_defaults.sweep_ms,
-            queries_per_10k: driver_defaults.queries_per_10k,
-            retry: retry_to_state(&config.retry),
-            window_nanos: config.sustained.window_nanos,
             gateway_addr: gateway_addr.to_string(),
+            ..template.clone()
         };
         agent
             .conn
@@ -698,43 +609,13 @@ fn run_fleet_phase(
         ));
     }
     let merged = merged.ok_or("no agent shipped telemetry")?;
-
-    let snapshot = merged.snapshot(phase);
-    let rate_violations = if phase == Phase::Measured {
-        validate_sustained_rate(&snapshot.ingest_windows, &config.sustained)
-    } else {
-        Vec::new()
-    };
-    let ingested: u64 = summaries.iter().map(|s| s.ingested).sum();
-    let queries: u64 = summaries.iter().map(|s| s.queries).sum();
-    // Substation order, mean × count per substation: the exact f64 fold
-    // `run_execution` performs over in-process driver reports.
-    // An empty accumulator ships mean = 0.0, so the product is exact.
-    let rows_sum: f64 = summaries
-        .iter()
-        .map(|s| s.rows.mean * s.rows.n as f64)
-        .sum();
-    Ok(ExecutionOutcome {
+    Ok(fold_execution(
+        &summaries,
+        &merged,
         elapsed_secs,
-        ingested,
-        insert_failures: summaries.iter().map(|s| s.insert_failures).sum(),
-        insert_retries: summaries.iter().map(|s| s.insert_retries).sum(),
-        queries,
-        query_retries: summaries.iter().map(|s| s.query_retries).sum(),
-        avg_rows_per_query: if queries == 0 {
-            0.0
-        } else {
-            rows_sum / queries as f64
-        },
-        driver_secs: summaries.iter().map(|s| s.elapsed_secs).collect(),
-        // The driver records the same latency value into the shared
-        // measurement sink (`OpKind::Scan`) and the recorder's `Query`
-        // histogram, so the merged recorder reproduces the in-process
-        // query-latency summary exactly.
-        query_latency: merged.histogram(OpClass::Query).summary(),
-        telemetry: snapshot,
-        rate_violations,
-    })
+        phase,
+        &config.sustained,
+    ))
 }
 
 #[cfg(test)]
@@ -800,12 +681,28 @@ mod tests {
 
     #[test]
     fn kvp_split_matches_equation_3_across_any_partition() {
-        let config = crate::runner::BenchmarkConfig::new(3, 100_001);
-        for i in 0..3u32 {
-            assert_eq!(
-                kvps_for_global_instance(100_001, 3, i),
-                config.kvps_for_instance(i as usize),
-            );
-        }
+        // Three substations driven at once, or split over two agents'
+        // ranges: every substation gets the same kvp share, seed and
+        // query schedule either way.
+        let config = BenchmarkConfig::new(3, 30_001);
+        let whole = config.phase_spec(7, 1_700_000_000_000, Phase::Measured);
+        let drive = |lo, hi| {
+            let spec = RunPhaseSpec {
+                sub_lo: lo,
+                sub_hi: hi,
+                ..whole.clone()
+            };
+            drive_substations(&spec, Arc::new(crate::backend::MemBackend::new())).0
+        };
+        let mut split = drive(0, 1);
+        split.extend(drive(1, 3));
+        let key = |r: &OpSummary| (r.substation, r.ingested, r.queries, r.rows.mean.to_bits());
+        let whole_rows = drive(0, 3);
+        assert_eq!(
+            whole_rows.iter().map(key).collect::<Vec<_>>(),
+            split.iter().map(key).collect::<Vec<_>>()
+        );
+        let ingested: Vec<u64> = whole_rows.iter().map(|r| r.ingested).collect();
+        assert_eq!(ingested, [10_000, 10_000, 10_001]);
     }
 }

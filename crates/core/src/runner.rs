@@ -4,24 +4,25 @@
 
 use crate::backend::GatewayBackend;
 use crate::checks::{data_check, file_check, replication_check, CheckResult, KitManifest};
-use crate::driver::{run_driver_with_telemetry, DriverConfig, DriverReport};
+use crate::driver::{run_driver_with_telemetry, DriverConfig};
 use crate::metrics::{
     apply_sustained_rate, apply_topology_check, degraded_run_verdict, BenchmarkMetrics,
     MeasuredRun, ResilienceSummary, RunValidity,
 };
+use crate::netplane::{retry_from_state, retry_to_state};
 use crate::pricing::PriceSheet;
 use crate::retry::RetryPolicy;
 use crate::rules::{validate, RuleReport, Rules, RunFacts};
 use crate::sensors::SENSORS_PER_SUBSTATION;
 use crate::telemetry::{
-    validate_sustained_rate, ClusterCounters, EngineCounters, MetricsRegistry, Phase,
-    PhaseSnapshot, RateViolation, RunTelemetry, SustainedRateConfig,
+    validate_sustained_rate, ClusterCounters, EngineCounters, MetricsRegistry, OpClass, Phase,
+    PhaseSnapshot, RateViolation, RunTelemetry, SustainedRateConfig, ThreadRecorder,
 };
 use simkit::rng::derive_seed;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Instant;
-use ycsb::measurement::{Measurements, OpKind};
+use wire::{MomentsState, OpSummary, RunPhaseSpec};
 
 /// Everything the benchmark driver needs of the system under test.
 pub trait SystemUnderTest: Send {
@@ -92,15 +93,149 @@ impl BenchmarkConfig {
         }
     }
 
-    /// Per the spec's equation (3): instance `i` ingests `⌊K/P⌋` kvps,
-    /// the last instance also takes `K mod P`.
-    pub fn kvps_for_instance(&self, i: usize) -> u64 {
-        let per = self.total_kvps / self.substations as u64;
-        if i + 1 == self.substations {
-            per + self.total_kvps % self.substations as u64
-        } else {
-            per
+    /// The spec of one workload execution over every substation: the
+    /// phase seed and epoch plus the driver template all instances share
+    /// (threads, batch size, retry, sweep cadence, query mix). Built here
+    /// once for both planes: the in-process runner drives it as is, the
+    /// fleet narrows the range per agent and ships it.
+    pub(crate) fn phase_spec(&self, seed: u64, epoch_ms: u64, phase: Phase) -> RunPhaseSpec {
+        let defaults = DriverConfig::new(0, 0);
+        RunPhaseSpec {
+            phase: if phase == Phase::Warmup { 0 } else { 1 },
+            seed,
+            epoch_ms,
+            sub_lo: 0,
+            sub_hi: self.substations as u32,
+            substations: self.substations as u32,
+            total_kvps: self.total_kvps,
+            threads: self.threads_per_driver as u32,
+            batch_size: self.batch_size as u32,
+            sweep_ms: defaults.sweep_ms,
+            queries_per_10k: defaults.queries_per_10k,
+            retry: retry_to_state(&self.retry),
+            window_nanos: self.sustained.window_nanos,
+            gateway_addr: String::new(),
         }
+    }
+}
+
+/// Per the spec's equation (3): of `substations` instances, instance `i`
+/// ingests `⌊K/P⌋` kvps and the last also takes `K mod P`.
+pub fn kvps_for_instance(total_kvps: u64, substations: usize, i: usize) -> u64 {
+    let per = total_kvps / substations as u64;
+    if i + 1 == substations {
+        per + total_kvps % substations as u64
+    } else {
+        per
+    }
+}
+
+/// Runs the driver instances of substations `[spec.sub_lo, spec.sub_hi)`
+/// concurrently against `backend`: the one execution routine of both
+/// planes. The in-process runner passes every substation and the SUT's
+/// backend, an agent its own range and a `NetBackend`. Each instance
+/// takes its Eq. (3) share and a seed derived from its *global* index,
+/// so how a fleet partitions substations never changes any driver's
+/// schedule. Returns one row per substation, in order, and the
+/// instances' merged telemetry recorder.
+pub(crate) fn drive_substations(
+    spec: &RunPhaseSpec,
+    backend: Arc<dyn GatewayBackend>,
+) -> (Vec<OpSummary>, ThreadRecorder) {
+    let phase = if spec.phase == 0 {
+        Phase::Warmup
+    } else {
+        Phase::Measured
+    };
+    let telemetry = RunTelemetry::new(phase, spec.window_nanos);
+    let retry = retry_from_state(&spec.retry);
+    let rows = std::thread::scope(|scope| {
+        let handles: Vec<_> = (spec.sub_lo..spec.sub_hi)
+            .map(|i| {
+                let config = DriverConfig {
+                    substation_index: i as usize,
+                    kvps: kvps_for_instance(spec.total_kvps, spec.substations as usize, i as usize),
+                    threads: spec.threads as usize,
+                    seed: derive_seed(spec.seed, i as u64),
+                    epoch_ms: spec.epoch_ms,
+                    sweep_ms: spec.sweep_ms,
+                    queries_per_10k: spec.queries_per_10k,
+                    retry,
+                    batch_size: spec.batch_size as usize,
+                };
+                let (backend, telemetry) = (Arc::clone(&backend), &telemetry);
+                let handle =
+                    scope.spawn(move || run_driver_with_telemetry(&config, backend, telemetry));
+                (i, handle)
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|(i, h)| {
+                let r = h.join().unwrap_or_else(|e| std::panic::resume_unwind(e));
+                let (n, mean, m2, min, max) = r.rows_per_query.parts();
+                OpSummary {
+                    substation: i,
+                    ingested: r.ingested,
+                    insert_failures: r.insert_failures,
+                    insert_retries: r.insert_retries,
+                    queries: r.queries_executed,
+                    query_failures: r.query_failures,
+                    query_retries: r.query_retries,
+                    rows: MomentsState {
+                        n,
+                        mean,
+                        m2,
+                        min,
+                        max,
+                    },
+                    elapsed_secs: r.elapsed_secs,
+                }
+            })
+            .collect()
+    });
+    (rows, telemetry.merged_recorder())
+}
+
+/// Folds one execution's per-substation rows (in substation order) and
+/// merged recorder into its outcome. The one place an
+/// [`ExecutionOutcome`] is built: the in-process runner and the fleet
+/// controller both call it, so the two planes cannot drift apart.
+pub(crate) fn fold_execution(
+    rows: &[OpSummary],
+    recorder: &ThreadRecorder,
+    elapsed_secs: f64,
+    phase: Phase,
+    sustained: &SustainedRateConfig,
+) -> ExecutionOutcome {
+    let telemetry = recorder.snapshot(phase);
+    // Only measured executions are judged: the spec's sustained-rate
+    // contract covers the measurement interval, not warm-up.
+    let rate_violations = if phase == Phase::Measured {
+        validate_sustained_rate(&telemetry.ingest_windows, sustained)
+    } else {
+        Vec::new()
+    };
+    let queries: u64 = rows.iter().map(|r| r.queries).sum();
+    // Mean × count per substation; an empty accumulator has mean 0.0,
+    // so the product is exact.
+    let rows_sum: f64 = rows.iter().map(|r| r.rows.mean * r.rows.n as f64).sum();
+    ExecutionOutcome {
+        elapsed_secs,
+        ingested: rows.iter().map(|r| r.ingested).sum(),
+        insert_failures: rows.iter().map(|r| r.insert_failures).sum(),
+        insert_retries: rows.iter().map(|r| r.insert_retries).sum(),
+        queries,
+        query_retries: rows.iter().map(|r| r.query_retries).sum(),
+        avg_rows_per_query: if queries == 0 {
+            0.0
+        } else {
+            rows_sum / queries as f64
+        },
+        driver_secs: rows.iter().map(|r| r.elapsed_secs).collect(),
+        query_latency: recorder.histogram(OpClass::Query).summary(),
+        telemetry,
+        rate_violations,
     }
 }
 
@@ -118,7 +253,8 @@ pub struct ExecutionOutcome {
     pub avg_rows_per_query: f64,
     /// Per-substation ingest completion seconds.
     pub driver_secs: Vec<f64>,
-    /// Query latency summary (nanoseconds, from the shared sink).
+    /// Query latency summary (nanoseconds, from the merged recorder's
+    /// `Query` histogram).
     pub query_latency: simkit::stats::Summary,
     /// Per-phase telemetry: latency histograms and windowed throughput.
     pub telemetry: PhaseSnapshot,
@@ -188,82 +324,23 @@ impl BenchmarkRunner {
         }
     }
 
-    /// Runs one workload execution: all driver instances concurrently, to
-    /// completion. `epoch_ms` is the virtual acquisition epoch — warm-up
-    /// and measured executions run back-to-back in real deployments, so
-    /// each execution gets a later epoch and fresh keys.
-    fn run_execution(
-        &self,
-        sut: &dyn SystemUnderTest,
-        seed: u64,
-        epoch_ms: u64,
-        phase: Phase,
-    ) -> ExecutionOutcome {
-        let backend = sut.backend();
-        let measurements = Arc::new(Measurements::new());
-        let telemetry = RunTelemetry::new(phase, self.config.sustained.window_nanos);
-        let started = Instant::now();
-        let reports: Vec<DriverReport> = std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for i in 0..self.config.substations {
-                let backend = Arc::clone(&backend);
-                let measurements = Arc::clone(&measurements);
-                let telemetry = &telemetry;
-                let mut dc = DriverConfig::new(i, self.config.kvps_for_instance(i));
-                dc.threads = self.config.threads_per_driver;
-                dc.seed = derive_seed(seed, i as u64);
-                dc.epoch_ms = epoch_ms;
-                dc.retry = self.config.retry;
-                dc.batch_size = self.config.batch_size;
-                handles.push(scope.spawn(move || {
-                    run_driver_with_telemetry(&dc, backend, measurements, Some(telemetry))
-                }));
-            }
-            handles
-                .into_iter()
-                .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
-                .collect()
-        });
-        let elapsed_secs = started.elapsed().as_secs_f64();
-        let snapshot = telemetry.snapshot();
-        // Only measured executions are judged: the spec's sustained-rate
-        // contract covers the measurement interval, not warm-up.
-        let rate_violations = if phase == Phase::Measured {
-            validate_sustained_rate(&snapshot.ingest_windows, &self.config.sustained)
-        } else {
-            Vec::new()
-        };
-
-        let ingested: u64 = reports.iter().map(|r| r.ingested).sum();
-        let queries: u64 = reports.iter().map(|r| r.queries_executed).sum();
-        let rows_sum: f64 = reports
-            .iter()
-            .map(|r| r.rows_per_query.mean() * r.rows_per_query.count() as f64)
-            .sum();
-        ExecutionOutcome {
-            elapsed_secs,
-            ingested,
-            insert_failures: reports.iter().map(|r| r.insert_failures).sum(),
-            insert_retries: reports.iter().map(|r| r.insert_retries).sum(),
-            queries,
-            query_retries: reports.iter().map(|r| r.query_retries).sum(),
-            avg_rows_per_query: if queries == 0 {
-                0.0
-            } else {
-                rows_sum / queries as f64
-            },
-            driver_secs: reports.iter().map(|r| r.elapsed_secs).collect(),
-            query_latency: measurements.summary(OpKind::Scan),
-            telemetry: snapshot,
-            rate_violations,
-        }
-    }
-
     /// Runs the complete benchmark against `sut` (Fig 6's flow) with
-    /// in-process driver instances.
+    /// in-process driver instances: each workload execution drives every
+    /// substation concurrently against the SUT's backend.
     pub fn run(&self, sut: &mut dyn SystemUnderTest) -> BenchmarkOutcome {
         self.run_with(sut, |sut, seed, epoch_ms, phase| {
-            Ok(self.run_execution(sut, seed, epoch_ms, phase))
+            let spec = self.config.phase_spec(seed, epoch_ms, phase);
+            let backend = sut.backend();
+            let started = Instant::now();
+            let (rows, recorder) = drive_substations(&spec, backend);
+            let elapsed_secs = started.elapsed().as_secs_f64();
+            Ok(fold_execution(
+                &rows,
+                &recorder,
+                elapsed_secs,
+                phase,
+                &self.config.sustained,
+            ))
         })
     }
 
@@ -595,11 +672,10 @@ mod tests {
 
     #[test]
     fn kvp_split_follows_equation_3() {
-        let c = BenchmarkConfig::new(3, 100_001);
-        assert_eq!(c.kvps_for_instance(0), 33_333);
-        assert_eq!(c.kvps_for_instance(1), 33_333);
-        assert_eq!(c.kvps_for_instance(2), 33_335);
-        let total: u64 = (0..3).map(|i| c.kvps_for_instance(i)).sum();
+        assert_eq!(kvps_for_instance(100_001, 3, 0), 33_333);
+        assert_eq!(kvps_for_instance(100_001, 3, 1), 33_333);
+        assert_eq!(kvps_for_instance(100_001, 3, 2), 33_335);
+        let total: u64 = (0..3).map(|i| kvps_for_instance(100_001, 3, i)).sum();
         assert_eq!(total, 100_001);
     }
 

@@ -92,6 +92,13 @@ impl Measurements {
         self.slots[kind.index()].lock().failed.record(latency_nanos);
     }
 
+    /// Folds a histogram of successful latencies recorded elsewhere into
+    /// `kind` under one lock: the same buckets, count and sum as passing
+    /// each sample to [`Measurements::record_ok`].
+    pub fn merge_ok(&self, kind: OpKind, latencies: &Histogram) {
+        self.slots[kind.index()].lock().ok.merge(latencies);
+    }
+
     /// Latency summary for one operation kind (nanoseconds).
     pub fn summary(&self, kind: OpKind) -> Summary {
         self.slots[kind.index()].lock().ok.summary()
@@ -209,6 +216,20 @@ mod tests {
         assert!(report.contains("[INSERT]"));
         assert!(!report.contains("[SCAN]"));
         assert!(report.contains("[OVERALL]"));
+    }
+
+    #[test]
+    fn merge_ok_equals_recording_each_sample() {
+        let (merged, recorded) = (Measurements::new(), Measurements::new());
+        let mut h = Histogram::new();
+        for latency in [900u64, 4_000, 120_000] {
+            h.record(latency);
+            recorded.record_ok(OpKind::Scan, latency);
+        }
+        merged.merge_ok(OpKind::Scan, &h);
+        merged.merge_ok(OpKind::Scan, &Histogram::new());
+        assert_eq!(merged.summary(OpKind::Scan), recorded.summary(OpKind::Scan));
+        assert_eq!(merged.ok_count(OpKind::Insert), 0);
     }
 
     #[test]

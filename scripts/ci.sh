@@ -6,7 +6,7 @@
 #   ./scripts/ci.sh          # everything
 #   ./scripts/ci.sh quick    # skip tests + artifacts (fmt + clippy + build)
 #
-# Artifacts: the fault sweep exports its unified metrics registry to
+# Artifacts: the fault/topology sweep exports its unified metrics registry to
 # $ARTIFACT_DIR (default target/ci-artifacts) as fault_sweep.json and
 # fault_sweep.prom; check_export fails the run if either is empty or
 # unparsable. Upload that directory from your CI provider.
@@ -65,7 +65,7 @@ if [[ "${1:-}" != "quick" ]]; then
     cargo test -q -p simkit --features race-check
     cargo test -q -p tpcx-iot --features race-check --test race_check
 
-    echo "== metrics export artifacts =="
+    echo "== fault + topology sweep (smoke, gates on VALID verdict) + metrics export artifacts =="
     rm -rf "$ARTIFACT_DIR"
     METRICS_EXPORT_DIR="$ARTIFACT_DIR" \
         cargo run --release -q -p bench --bin fault_sweep -- 100
@@ -79,13 +79,6 @@ if [[ "${1:-}" != "quick" ]]; then
     echo "== query scans (smoke) =="
     BENCH_QUERY_OUT="$ARTIFACT_DIR/BENCH_query.json" \
         ./scripts/bench_query.sh 100
-
-    echo "== topology sweep (smoke, gates on VALID verdict) =="
-    BENCH_TOPOLOGY_OUT="$ARTIFACT_DIR/BENCH_topology.json" \
-    METRICS_EXPORT_DIR="$ARTIFACT_DIR" \
-        ./scripts/bench_topology.sh 100
-    cargo run --release -q -p bench --bin check_export -- \
-        "$ARTIFACT_DIR/bench_topology.json" "$ARTIFACT_DIR/bench_topology.prom"
 
     echo "== networked plane (smoke, gates on VALID verdict + counter parity) =="
     BENCH_NETPLANE_OUT="$ARTIFACT_DIR/BENCH_netplane.json" \

@@ -8,11 +8,13 @@
 use std::net::TcpListener;
 use std::time::Duration;
 
-use tpcx_iot::netplane::{run_networked, spawn_local_agent, FleetConfig};
+use gateway::server::GatewayServer;
+use tpcx_iot::netplane::{retry_to_state, run_networked, spawn_local_agent, FleetConfig};
 use tpcx_iot::pricing::PriceSheet;
 use tpcx_iot::rules::Rules;
 use tpcx_iot::runner::{BenchmarkConfig, BenchmarkOutcome, BenchmarkRunner, GatewaySut};
-use wire::{FrameConn, Message};
+use tpcx_iot::RetryPolicy;
+use wire::{FrameConn, Message, RunPhaseSpec};
 
 fn tmpdir(name: &str) -> std::path::PathBuf {
     let d = std::env::temp_dir().join(format!("tpcx-netplane-{name}-{}", std::process::id()));
@@ -60,9 +62,13 @@ fn run_fleet(name: &str, agents: usize) -> BenchmarkOutcome {
 }
 
 /// The counters that must be invariant across execution planes. Latency
-/// summaries and rows-per-query legitimately differ (network latency,
-/// query/ingest interleaving), the work counters must not.
-fn invariant_counters(outcome: &BenchmarkOutcome) -> Vec<(u64, u64, u64, u64, bool)> {
+/// summaries legitimately differ (network latency); the work counters
+/// must not, and neither must rows-per-query: each thread queries only
+/// its own sensors after flushing its own writes, and both planes fold
+/// the same substation rows in one routine.
+type Invariants = (u64, u64, u64, u64, bool, u64, u64);
+
+fn invariant_counters(outcome: &BenchmarkOutcome) -> Vec<Invariants> {
     outcome
         .iterations
         .iter()
@@ -73,6 +79,8 @@ fn invariant_counters(outcome: &BenchmarkOutcome) -> Vec<(u64, u64, u64, u64, bo
                 it.warmup.queries,
                 it.measured.queries,
                 it.data_check.passed,
+                it.measured.insert_retries,
+                it.measured.avg_rows_per_query.to_bits(),
             )
         })
         .collect()
@@ -171,6 +179,47 @@ fn crashed_agent_yields_invalid_verdict_not_a_hang() {
     assert!(outcome.metrics.is_none(), "no metrics from an aborted run");
     assert!(!outcome.publishable());
     assert!(outcome.iterations.is_empty(), "first phase never completed");
+}
+
+/// A `RunPhase` with a zero telemetry window is refused at the protocol
+/// boundary with an `Err` reply, and the agent keeps serving — it must
+/// not reach the telemetry's own nonzero-window assertion.
+#[test]
+fn zero_window_phase_is_refused_and_agent_survives() {
+    let dir = tmpdir("zero-window");
+    let sut = GatewaySut::new(cluster(&dir, 1));
+    let server = GatewayServer::start(sut.shared(), "127.0.0.1:0", Duration::from_secs(10))
+        .expect("gateway server");
+    let (addr, handle) = spawn_local_agent().expect("agent");
+    let mut conn = FrameConn::connect(&addr, Duration::from_secs(30)).unwrap();
+    conn.client_handshake(wire::msg::ROLE_AGENT).unwrap();
+
+    let spec = RunPhaseSpec {
+        phase: 1,
+        seed: 1,
+        epoch_ms: 1_700_000_000_000,
+        sub_lo: 0,
+        sub_hi: 1,
+        substations: 1,
+        total_kvps: 100,
+        threads: 1,
+        batch_size: 1,
+        sweep_ms: 10,
+        queries_per_10k: 5,
+        retry: retry_to_state(&RetryPolicy::DEFAULT),
+        window_nanos: 0,
+        gateway_addr: server.local_addr().to_string(),
+    };
+    match conn.request(&Message::RunPhase(spec)) {
+        Ok(Message::Err { message, .. }) => assert!(message.contains("window"), "{message}"),
+        other => panic!("expected an Err reply, got {other:?}"),
+    }
+    assert_eq!(conn.request(&Message::Ping).unwrap(), Message::Pong);
+
+    assert_eq!(conn.request(&Message::Shutdown).unwrap(), Message::Ok);
+    handle.join().unwrap().expect("agent exits cleanly");
+    drop(server);
+    std::fs::remove_dir_all(dir).ok();
 }
 
 #[test]
