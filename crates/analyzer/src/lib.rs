@@ -5,7 +5,7 @@
 //! (fixtures under `crates/analyzer/fixtures/` are deliberately outside
 //! both). On top of the line lexer it builds a lightweight symbol index
 //! (`symbols`) and an intra-crate call graph (`graph`), then enforces
-//! twelve rules:
+//! thirteen rules:
 //!
 //! * `unwrap` — no `.unwrap()` / `.expect(` / `panic!` outside test
 //!   scopes and bench bins.
@@ -22,6 +22,9 @@
 //! * `wire-bounded` — raw, potentially unbounded reads stay inside
 //!   `wire::frame`, the one length-validated, timeout-mandatory read
 //!   site.
+//! * `unsafe-confined` — `unsafe` appears only in `iotkv::checksum`
+//!   (the SSE4.2 CRC kernel's call), each use under a `// SAFETY:`
+//!   comment.
 //! * `lock-order` — the acquired-while-held graph (same-function and
 //!   through intra-crate calls) stays acyclic; a cycle is a potential
 //!   deadlock and is reported with its full witness path.
@@ -62,13 +65,14 @@ use symbols::SymbolIndex;
 /// Every rule a `lint:allow(...)` marker can name. The `unused-allow`
 /// audit only counts markers naming these; anything else in a comment
 /// (prose, examples) is not an allow.
-pub const SUPPRESSIBLE_RULES: [&str; 10] = [
+pub const SUPPRESSIBLE_RULES: [&str; 11] = [
     "unwrap",
     "wall-clock",
     "ordering",
     "error-exhaustive",
     "region-map",
     "wire-bounded",
+    "unsafe-confined",
     "lock-order",
     "blocking-under-lock",
     "panic-reachability",
@@ -174,6 +178,14 @@ pub fn wire_bounded_rule_applies(rel: &str) -> bool {
     rel != "crates/wire/src/frame.rs"
 }
 
+/// The one file allowed `unsafe` by the `unsafe-confined` rule (which
+/// covers every file): `iotkv::checksum`, whose dispatcher calls the
+/// SSE4.2 CRC kernel only after runtime feature detection. Even there,
+/// each `unsafe` needs a `// SAFETY:` comment.
+pub fn unsafe_allowed_in(rel: &str) -> bool {
+    rel == "crates/iotkv/src/checksum.rs"
+}
+
 /// The one file the `wire-exhaustive` rule covers: the `Message` enum and
 /// its codec.
 pub fn wire_exhaustive_rule_applies(rel: &str) -> bool {
@@ -228,6 +240,7 @@ pub fn run_all(root: &Path) -> io::Result<Vec<Finding>> {
         if wire_exhaustive_rule_applies(rel) {
             rules::check_wire_exhaustive(view, rel, &mut findings);
         }
+        rules::check_unsafe_confined(view, rel, unsafe_allowed_in(rel), &mut findings);
         rules::check_error_exhaustive(view, rel, &mut findings);
     }
 

@@ -423,6 +423,58 @@ pub fn check_wire_bounded(view: &FileView, file: &str, out: &mut Vec<Finding>) {
     }
 }
 
+/// `unsafe-confined`: the `unsafe` keyword appears only in the one file
+/// allowed it (`allowed`; see [`crate::unsafe_allowed_in`]), and there
+/// every `unsafe` carries a `// SAFETY:` comment — on its own line or in
+/// the contiguous comment block directly above — naming what makes it
+/// sound. Test scopes are not exempt: undefined behaviour in a test is
+/// still undefined. `unsafe_code` in a lint attribute, strings and
+/// comments are not the keyword.
+pub fn check_unsafe_confined(view: &FileView, file: &str, allowed: bool, out: &mut Vec<Finding>) {
+    const RULE: &str = "unsafe-confined";
+    for (idx, line) in view.lines.iter().enumerate() {
+        if !has_word(&line.code, "unsafe") {
+            continue;
+        }
+        if allowed && safety_comment_at(view, idx) {
+            continue;
+        }
+        if view.suppressed(idx, RULE) {
+            continue;
+        }
+        let message = if allowed {
+            "`unsafe` without a `// SAFETY:` comment directly above it \
+             naming the invariant it relies on"
+        } else {
+            "`unsafe` outside `iotkv::checksum`, the one module allowed it; \
+             find a safe formulation"
+        };
+        out.push(Finding::new(RULE, file, idx + 1, message.to_string()));
+    }
+}
+
+/// Whether `word` occurs in `code` as a whole identifier.
+fn has_word(code: &str, word: &str) -> bool {
+    let is_ident = |c: char| c.is_alphanumeric() || c == '_';
+    code.match_indices(word).any(|(at, _)| {
+        !code[..at].ends_with(is_ident) && !code[at + word.len()..].starts_with(is_ident)
+    })
+}
+
+/// Whether line `idx` or the contiguous comment block directly above it
+/// carries a `SAFETY:` comment.
+fn safety_comment_at(view: &FileView, idx: usize) -> bool {
+    const MARKER: &str = "SAFETY:";
+    if view.lines[idx].comment.contains(MARKER) {
+        return true;
+    }
+    view.lines[..idx]
+        .iter()
+        .rev()
+        .take_while(|l| l.code.trim().is_empty() && !l.comment.is_empty())
+        .any(|l| l.comment.contains(MARKER))
+}
+
 /// `metrics-sync`: the `OpClass::name()` strings in
 /// `crates/core/src/telemetry.rs` and the `op="…"` labels in the golden
 /// Prometheus snapshot must be the same set.
@@ -863,6 +915,53 @@ mod tests {
                        s.set_read_timeout(Some(t)).ok();\n\
                    }\n";
         assert!(findings_for(src, check_wire_bounded).is_empty());
+    }
+
+    fn unsafe_findings(src: &str, allowed: bool) -> Vec<Finding> {
+        let lines = lex(src);
+        let view = FileView::new(&lines);
+        let mut out = Vec::new();
+        check_unsafe_confined(&view, "mem.rs", allowed, &mut out);
+        out
+    }
+
+    #[test]
+    fn unsafe_confined_flags_every_use_outside_the_allowed_file() {
+        let src = "// SAFETY: not enough outside the allowed file\n\
+                   fn a(p: *const u8) -> u8 { unsafe { *p } }\n\
+                   unsafe fn b() {}\n\
+                   #[cfg(test)]\n\
+                   mod tests {\n\
+                       fn t(p: *const u8) -> u8 { unsafe { *p } }\n\
+                   }\n";
+        let out = unsafe_findings(src, false);
+        let lines: Vec<usize> = out.iter().map(|f| f.line).collect();
+        assert_eq!(lines, vec![2, 3, 6], "{out:?}");
+    }
+
+    #[test]
+    fn unsafe_confined_needs_safety_comment_in_allowed_file() {
+        let src = "fn a(p: *const u8) -> u8 {\n\
+                       // SAFETY: p points at a live byte, and the block\n\
+                       // comment may span lines.\n\
+                       unsafe { *p }\n\
+                   }\n\
+                   fn b(p: *const u8) -> u8 { unsafe { *p } } // SAFETY: same line\n\
+                   fn c(p: *const u8) -> u8 {\n\
+                       // SAFETY: a blank line ends the block\n\
+                   \n\
+                       unsafe { *p }\n\
+                   }\n";
+        let out = unsafe_findings(src, true);
+        assert_eq!(out.len(), 1, "{out:?}");
+        assert_eq!(out[0].line, 10);
+    }
+
+    #[test]
+    fn unsafe_confined_ignores_non_keywords() {
+        let src = "#![forbid(unsafe_code)]\n\
+                   fn check_unsafe_confined() { log(\"unsafe { }\"); } // unsafe\n";
+        assert!(unsafe_findings(src, false).is_empty());
     }
 
     #[test]

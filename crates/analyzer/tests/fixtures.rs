@@ -30,6 +30,8 @@ fn exact_findings_over_fixture_workspace() {
         ("blocking-under-lock", "crates/gateway/src/handler.rs", 32),
         ("panic-reachability", "crates/gateway/src/handler.rs", 40),
         ("wire-bounded", "crates/gateway/src/server.rs", 2),
+        ("unsafe-confined", "crates/iotkv/src/block.rs", 10),
+        ("unsafe-confined", "crates/iotkv/src/checksum.rs", 9),
         ("wall-clock", "crates/simkit/src/lib.rs", 2),
         ("wire-exhaustive", "crates/wire/src/msg.rs", 9),
         ("wire-exhaustive", "crates/wire/src/msg.rs", 28),
@@ -94,6 +96,30 @@ fn wire_bounded_flags_raw_reads_outside_wire_frame() {
         ("crates/gateway/src/server.rs", 2)
     );
     assert!(wb[0].message.contains(".read_exact("));
+}
+
+#[test]
+fn unsafe_confined_outside_the_allowed_file_and_undocumented_inside() {
+    let all = findings();
+    let uc: Vec<&analyzer::Finding> = all.iter().filter(|f| f.rule == "unsafe-confined").collect();
+    // block.rs: the SAFETY-commented use still fires (wrong file); its
+    // suppressed twin, the lint attribute, the string and the comment do
+    // not. checksum.rs: only the use without a SAFETY comment fires.
+    assert_eq!(uc.len(), 2, "{uc:?}");
+    assert_eq!(
+        (uc[0].file.as_str(), uc[0].line),
+        ("crates/iotkv/src/block.rs", 10)
+    );
+    assert!(
+        uc[0].message.contains("outside `iotkv::checksum`"),
+        "{}",
+        uc[0].message
+    );
+    assert_eq!(
+        (uc[1].file.as_str(), uc[1].line),
+        ("crates/iotkv/src/checksum.rs", 9)
+    );
+    assert!(uc[1].message.contains("SAFETY:"), "{}", uc[1].message);
 }
 
 #[test]
@@ -257,7 +283,8 @@ fn unused_allow_flags_the_stale_marker_only() {
     let ua: Vec<&analyzer::Finding> = all.iter().filter(|f| f.rule == "unused-allow").collect();
     // The stale marker in foo fires; the *used* markers (the unwrap twin
     // in foo, the wire-bounded twin in server.rs, the
-    // blocking-under-lock twin in handler.rs) do not.
+    // blocking-under-lock twin in handler.rs, the unsafe-confined twin in
+    // block.rs) do not.
     assert_eq!(ua.len(), 1, "{ua:?}");
     assert_eq!(
         (ua[0].file.as_str(), ua[0].line),

@@ -19,7 +19,8 @@ const NIL: usize = usize::MAX;
 
 struct Node {
     key: CacheKey,
-    value: Arc<Block>,
+    /// `None` while the slot is on the free list.
+    value: Option<Arc<Block>>,
     charge: usize,
     prev: usize,
     next: usize,
@@ -78,37 +79,32 @@ impl Shard {
         let idx = *self.map.get(key)?;
         self.unlink(idx);
         self.push_front(idx);
-        Some(Arc::clone(&self.nodes[idx].value))
+        self.nodes[idx].value.clone()
     }
 
     fn insert(&mut self, key: CacheKey, value: Arc<Block>, charge: usize) {
         if let Some(&idx) = self.map.get(&key) {
             // Replace in place, preserving list position then refreshing.
             self.used = self.used - self.nodes[idx].charge + charge;
-            self.nodes[idx].value = value;
+            self.nodes[idx].value = Some(value);
             self.nodes[idx].charge = charge;
             self.unlink(idx);
             self.push_front(idx);
         } else {
+            let node = Node {
+                key,
+                value: Some(value),
+                charge,
+                prev: NIL,
+                next: NIL,
+            };
             let idx = match self.free.pop() {
                 Some(i) => {
-                    self.nodes[i] = Node {
-                        key,
-                        value,
-                        charge,
-                        prev: NIL,
-                        next: NIL,
-                    };
+                    self.nodes[i] = node;
                     i
                 }
                 None => {
-                    self.nodes.push(Node {
-                        key,
-                        value,
-                        charge,
-                        prev: NIL,
-                        next: NIL,
-                    });
+                    self.nodes.push(node);
                     self.nodes.len() - 1
                 }
             };
@@ -126,7 +122,7 @@ impl Shard {
             let node_key = self.nodes[idx].key;
             self.used -= self.nodes[idx].charge;
             self.map.remove(&node_key);
-            self.nodes[idx].value = Arc::new(Block::new(Vec::new()));
+            self.nodes[idx].value = None;
             self.free.push(idx);
         }
     }
@@ -142,7 +138,7 @@ impl Shard {
             if let Some(idx) = self.map.remove(&key) {
                 self.unlink(idx);
                 self.used -= self.nodes[idx].charge;
-                self.nodes[idx].value = Arc::new(Block::new(Vec::new()));
+                self.nodes[idx].value = None;
                 self.free.push(idx);
             }
         }
@@ -299,6 +295,24 @@ mod tests {
         assert!(c.get(&(1, 0)).is_none());
         assert!(c.get(&(1, 8)).is_none());
         assert!(c.get(&(2, 0)).is_some());
+    }
+
+    #[test]
+    fn evicted_and_erased_blocks_are_released() {
+        let mut shard = Shard::new(1000);
+        let evicted = block(600);
+        shard.insert((0, 1), Arc::clone(&evicted), 600);
+        assert_eq!(Arc::strong_count(&evicted), 2, "the cache holds one");
+        shard.insert((0, 2), block(600), 600); // over capacity: (0, 1) goes
+        assert!(shard.get(&(0, 1)).is_none());
+        assert_eq!(Arc::strong_count(&evicted), 1, "eviction released it");
+
+        let c = BlockCache::new(1 << 20);
+        let erased = block(10);
+        c.insert((7, 0), Arc::clone(&erased));
+        assert_eq!(Arc::strong_count(&erased), 2);
+        c.erase_table(7);
+        assert_eq!(Arc::strong_count(&erased), 1, "erase_table released it");
     }
 
     #[test]

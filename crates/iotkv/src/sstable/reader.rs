@@ -141,9 +141,11 @@ impl Table {
 
 /// Reads a block and verifies its trailing masked CRC.
 fn read_checked(file: &File, handle: BlockHandle, file_size: u64) -> Result<Vec<u8>> {
+    // The footer carries no CRC, so a handle can hold any value.
     let end = handle
-        .offset
-        .checked_add(handle.len + 4)
+        .len
+        .checked_add(4)
+        .and_then(|framed| handle.offset.checked_add(framed))
         .ok_or_else(|| Error::corruption("block handle overflow"))?;
     if end > file_size {
         return Err(Error::corruption("block handle beyond end of file"));
@@ -372,6 +374,23 @@ mod tests {
         std::fs::write(&path, &data).unwrap();
         assert!(matches!(
             Table::open(&path, 4, Arc::new(BlockCache::new(0))),
+            Err(Error::Corruption(_))
+        ));
+        std::fs::remove_file(path).ok();
+    }
+
+    #[test]
+    fn huge_footer_handle_is_corruption_not_a_panic() {
+        let (path, table) = build_table("huge-handle.sst", 10);
+        drop(table);
+        let mut data = std::fs::read(&path).unwrap();
+        // Footer: filter (offset, len), index (offset, len), magic; the
+        // magic stays intact, the index length wraps `len + 4`.
+        let index_len = data.len() - FOOTER_LEN + 24;
+        data[index_len..index_len + 8].copy_from_slice(&(u64::MAX - 1).to_le_bytes());
+        std::fs::write(&path, &data).unwrap();
+        assert!(matches!(
+            Table::open(&path, 5, Arc::new(BlockCache::new(0))),
             Err(Error::Corruption(_))
         ));
         std::fs::remove_file(path).ok();
