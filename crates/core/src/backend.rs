@@ -117,7 +117,10 @@ pub trait GatewayBackend: Send + Sync {
     ) -> BackendResult<u64>;
 
     /// Ordered scan of `[start, end)`, up to `limit` rows, collected
-    /// through [`GatewayBackend::scan_fold`].
+    /// through [`GatewayBackend::scan_fold`]. Nothing on the query path
+    /// calls it. It is the scan of the materialized reference that the
+    /// streamed fold is checked against (`tests/properties.rs`), and
+    /// `iotbench`'s `TracedBackend` (`benchmarks/`) overrides it.
     fn scan(&self, start: &[u8], end: &[u8], limit: usize) -> BackendResult<Vec<(Bytes, Bytes)>> {
         let mut rows = Vec::new();
         if limit > 0 {

@@ -112,9 +112,9 @@ pub fn run_driver_with_telemetry(
     telemetry: &RunTelemetry,
 ) -> DriverReport {
     // lint:allow(panic-reachability) configuration invariant, not a
-    // runtime hazard: the default is 10, the bench bins set it from
-    // validated flags, and `execute_phase` rejects a wire spec with
-    // zero threads (or a zero telemetry window) before it reaches
+    // runtime hazard: the default is 10, every caller in the workspace
+    // sets a positive constant, and `execute_phase` rejects a wire spec
+    // with zero threads (or a zero telemetry window) before it reaches
     // `runner::drive_substations` and this call — so the assert only
     // fires on a programming error in a caller, where loud beats silent.
     assert!(config.threads > 0, "driver needs at least one thread");
@@ -336,12 +336,14 @@ mod tests {
     use super::*;
     use crate::backend::MemBackend;
 
-    /// Runs `config` through `run_driver_with_telemetry` and through
-    /// `run_driver`, each on a fresh in-memory backend, and checks the
+    /// Runs `config` through `run_driver_with_telemetry` on `backend` and
+    /// through `run_driver` on a fresh in-memory backend, and checks the
     /// one-sink contract: every op lands in exactly one recorder class,
     /// and the `run_driver` sink holds the recorder's successful counts.
-    fn run_recorded(config: &DriverConfig) -> (DriverReport, ThreadRecorder) {
-        let backend = Arc::new(MemBackend::new());
+    fn run_recorded(
+        config: &DriverConfig,
+        backend: Arc<dyn GatewayBackend>,
+    ) -> (DriverReport, ThreadRecorder) {
         let telemetry = RunTelemetry::new(Phase::Measured, DEFAULT_WINDOW_NANOS);
         let report = run_driver_with_telemetry(config, backend.clone(), &telemetry);
         assert_eq!(backend.ingested_count(), report.ingested, "every kvp acked");
@@ -367,7 +369,7 @@ mod tests {
     fn driver_ingests_exact_quota_and_queries_at_spec_rate() {
         let mut config = DriverConfig::new(0, 20_000);
         config.threads = 4;
-        let (report, rec) = run_recorded(&config);
+        let (report, rec) = run_recorded(&config, Arc::new(MemBackend::new()));
         assert_eq!(report.ingested, 20_000);
         assert_eq!(report.insert_failures, 0);
         // 5 queries per 10k readings: every 2000 readings per thread;
@@ -382,23 +384,67 @@ mod tests {
         assert!(report.rows_per_query.mean() > 0.0, "queries found data");
     }
 
+    /// A fault-free 3-node cluster on the default engine options (8 MiB
+    /// memtables; `Options::small()` would flush thousands of times at
+    /// 1 KB values).
+    fn three_node_cluster(name: &str) -> (Arc<gateway::Cluster>, std::path::PathBuf) {
+        let dir = std::env::temp_dir().join(format!("tpcx-driver-{name}-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let config = gateway::ClusterConfig::new(&dir, 3);
+        let cluster = gateway::Cluster::start(config).expect("cluster starts");
+        (Arc::new(cluster), dir)
+    }
+
     #[test]
     fn batched_driver_ingests_quota_and_flushes_at_query_boundaries() {
-        let mut config = DriverConfig::new(0, 20_000);
-        config.threads = 4;
-        config.batch_size = 16;
-        let (report, rec) = run_recorded(&config);
-        assert_eq!(report.ingested, 20_000);
-        assert_eq!(report.insert_failures, 0);
-        assert_eq!(report.queries_executed, 8, "query cadence unchanged");
-        // Per thread: 312 full batches of 16 plus one final flush of 8
-        // (the query boundaries at 2000 and 4000 land on a full batch);
-        // one `Batch` sample per flush, no `Ingest`.
-        assert_eq!(rec.histogram(OpClass::Batch).count(), 4 * 313);
-        assert_eq!(rec.histogram(OpClass::Ingest).count(), 0);
-        // The pre-query flush makes fresh readings visible: the current
-        // 5s window is never empty.
-        assert!(report.rows_per_query.mean() > 0.0, "queries found data");
+        // Per thread: 5,000 readings with a query (and so a flush) after
+        // readings 2,000 and 4,000. Each of the three stretches (2,000,
+        // 2,000 and 1,000 readings) takes ceil(len / batch) flushes: the
+        // full batches plus one short flush unless the batch divides it.
+        for (batch, flushes_per_thread) in [
+            (16, 125 + 125 + 63), // 16 divides 2,000; 1,000 = 62 × 16 + 8
+            (64, 32 + 32 + 16),   // 2,000 = 31 × 64 + 16; 1,000 = 15 × 64 + 40
+            (256, 8 + 8 + 4),     // 2,000 = 7 × 256 + 208; 1,000 = 3 × 256 + 232
+        ] {
+            let mut config = DriverConfig::new(0, 20_000);
+            config.threads = 4;
+            config.batch_size = batch;
+            // The largest batch runs on a real cluster, whose batch
+            // counters must agree with the driver's flush count.
+            let cluster = (batch == 256).then(|| three_node_cluster("batch256"));
+            let backend: Arc<dyn GatewayBackend> = match &cluster {
+                Some((cluster, _)) => Arc::clone(cluster) as _,
+                None => Arc::new(MemBackend::new()),
+            };
+            let (report, rec) = run_recorded(&config, backend);
+            assert_eq!(report.ingested, 20_000, "batch {batch}");
+            assert_eq!(report.insert_failures, 0, "batch {batch}");
+            assert_eq!(report.queries_executed, 8, "batch {batch}: query cadence");
+            // One `Batch` sample per flush, no `Ingest`.
+            let flushes = 4 * flushes_per_thread;
+            assert_eq!(
+                rec.histogram(OpClass::Batch).count(),
+                flushes,
+                "batch {batch}"
+            );
+            assert_eq!(rec.histogram(OpClass::Ingest).count(), 0, "batch {batch}");
+            // The pre-query flush makes fresh readings visible: the
+            // current 5s window is never empty.
+            assert!(
+                report.rows_per_query.mean() > 0.0,
+                "batch {batch}: queries found data"
+            );
+
+            if let Some((cluster, dir)) = cluster {
+                let stats = cluster.stats();
+                assert_eq!(stats.put_batches, flushes);
+                assert_eq!(stats.batched_puts, 20_000);
+                assert_eq!(stats.puts, 20_000);
+                assert_eq!(stats.batch_fill(), 20_000.0 / flushes as f64);
+                drop(cluster);
+                std::fs::remove_dir_all(dir).ok();
+            }
+        }
     }
 
     #[test]

@@ -208,6 +208,10 @@ impl NetBackend {
         if let Some(conn) = self.pool.lock().pop() {
             return Ok(conn);
         }
+        self.dial()
+    }
+
+    fn dial(&self) -> Result<FrameConn, WireError> {
         let mut conn = FrameConn::connect(&self.addr, self.read_timeout)?;
         conn.client_handshake(ROLE_DRIVER)?;
         Ok(conn)
@@ -229,6 +233,27 @@ impl NetBackend {
                 Ok(reply)
             }
             Err(e) => Err(e.into()),
+        }
+    }
+
+    /// `(replication, ingested)` from one `GetStats` call, or `None`.
+    /// A pooled connection may have idled past the server's read timeout
+    /// and lost its handler, so a wire failure is retried once on a
+    /// freshly dialled connection; `GetStats` is read-only, so the retry
+    /// is safe.
+    fn stats(&self) -> Option<(u32, u64)> {
+        let reply = self.rpc(&Message::GetStats).or_else(|_| {
+            let mut conn = self.dial()?;
+            let reply = conn.request(&Message::GetStats)?;
+            self.checkin(conn);
+            Ok::<_, WireError>(reply)
+        });
+        match reply {
+            Ok(Message::Stats {
+                replication,
+                ingested,
+            }) => Some((replication, ingested)),
+            _ => None,
         }
     }
 
@@ -322,17 +347,12 @@ impl GatewayBackend for NetBackend {
     }
 
     fn replication_factor(&self) -> usize {
-        match self.rpc(&Message::GetStats) {
-            Ok(Message::Stats { replication, .. }) => replication as usize,
-            _ => 0,
-        }
+        self.stats()
+            .map_or(0, |(replication, _)| replication as usize)
     }
 
     fn ingested_count(&self) -> u64 {
-        match self.rpc(&Message::GetStats) {
-            Ok(Message::Stats { ingested, .. }) => ingested,
-            _ => 0,
-        }
+        self.stats().map_or(0, |(_, ingested)| ingested)
     }
 }
 

@@ -9,14 +9,11 @@
 #   ./scripts/bench_netplane.sh            # default scale, 2 agents
 #   ./scripts/bench_netplane.sh 100        # smoke scale (used by ci.sh)
 #   ./scripts/bench_netplane.sh 100 4      # smoke scale, 4 agents
-#
-# Override the artifact path with BENCH_NETPLANE_OUT.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 SCALE="${1:-20}"
 AGENTS="${2:-2}"
-export BENCH_NETPLANE_OUT="${BENCH_NETPLANE_OUT:-BENCH_netplane.json}"
 
 cargo build --release -q -p bench --bin agent --bin controller
 

@@ -9,11 +9,12 @@ use std::net::TcpListener;
 use std::time::Duration;
 
 use gateway::server::GatewayServer;
+use tpcx_iot::backend::GatewayBackend;
 use tpcx_iot::netplane::{retry_to_state, run_networked, spawn_local_agent, FleetConfig};
 use tpcx_iot::pricing::PriceSheet;
 use tpcx_iot::rules::Rules;
 use tpcx_iot::runner::{BenchmarkConfig, BenchmarkOutcome, BenchmarkRunner, GatewaySut};
-use tpcx_iot::RetryPolicy;
+use tpcx_iot::{NetBackend, RetryPolicy};
 use wire::{FrameConn, Message, RunPhaseSpec};
 
 fn tmpdir(name: &str) -> std::path::PathBuf {
@@ -218,6 +219,32 @@ fn zero_window_phase_is_refused_and_agent_survives() {
 
     assert_eq!(conn.request(&Message::Shutdown).unwrap(), Message::Ok);
     handle.join().unwrap().expect("agent exits cleanly");
+    drop(server);
+    std::fs::remove_dir_all(dir).ok();
+}
+
+/// A pooled connection that idles past the server's read timeout has no
+/// handler behind it any more, so a request on it fails at the wire
+/// level. The next stats call must still answer: the prerequisite check
+/// reads a replication of 0 as "not replicated", and the
+/// acked-vs-persisted verdict reads an ingested count of 0 as "acked
+/// data lost".
+#[test]
+fn stats_survive_a_pooled_connection_the_server_timed_out() {
+    let dir = tmpdir("idle-stats");
+    let sut = GatewaySut::new(cluster(&dir, 3));
+    let server = GatewayServer::start(sut.shared(), "127.0.0.1:0", Duration::from_millis(200))
+        .expect("gateway server");
+    // The failed request costs one client read timeout; keep it short.
+    let backend = NetBackend::connect(&server.local_addr().to_string(), Duration::from_secs(1))
+        .expect("gateway reachable");
+    backend.insert(b"k", b"v").expect("put");
+
+    std::thread::sleep(Duration::from_millis(500));
+    assert_eq!(backend.replication_factor(), 3);
+    std::thread::sleep(Duration::from_millis(500));
+    assert_eq!(backend.ingested_count(), 1);
+
     drop(server);
     std::fs::remove_dir_all(dir).ok();
 }

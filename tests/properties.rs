@@ -294,7 +294,7 @@ mod query_props {
     /// [`decode_reading`] codec, then aggregate. This is exactly what
     /// `query::execute` did before the streaming refactor.
     fn materialized_interval(
-        b: &MemBackend,
+        b: &dyn GatewayBackend,
         kind: QueryKind,
         substation: &str,
         sensor: &str,
@@ -302,7 +302,7 @@ mod query_props {
         to_ms: u64,
     ) -> IntervalAggregate {
         let (start, end) = sensor_time_range(substation, sensor, from_ms, to_ms);
-        let rows = b.scan(&start, &end, usize::MAX).expect("mem scan");
+        let rows = b.scan(&start, &end, usize::MAX).expect("materialized scan");
         let values: Vec<f64> = rows
             .iter()
             .filter_map(|(k, v)| decode_reading(k, v))
@@ -391,6 +391,140 @@ mod query_props {
             prop_assert_eq!(streamed.rows_read, current.rows + past.rows);
             prop_assert_eq!(streamed.retries, 0u64);
         }
+    }
+
+    /// The same equivalence on a real 3-node cluster while a writer
+    /// batch-ingests a disjoint substation: region boundaries fall
+    /// between sensors and inside query windows, so one streamed scan
+    /// chains `ClusterScan` cursors across regions while memtables
+    /// rotate and flush under it.
+    #[test]
+    fn streamed_fold_matches_materialized_on_a_live_cluster() {
+        use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+        use std::sync::Arc;
+
+        const SENSORS: u64 = 8;
+        const ROWS: u64 = 250; // per sensor and window
+        const NOW_MS: u64 = 10_000_000;
+        const PAST_MS: u64 = NOW_MS - 1_000_000;
+        let reading = |substation: &str, sensor: u64, timestamp_ms: u64, value: f64| {
+            encode_reading(&SensorReading {
+                substation: substation.into(),
+                sensor: format!("pmu-{sensor:03}"),
+                timestamp_ms,
+                value: format!("{value:.3}"),
+                unit: "volts".into(),
+            })
+        };
+
+        let dir = std::env::temp_dir().join(format!("tpcx-props-live-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let mut config = gateway::ClusterConfig::new(&dir, 3);
+        config.split_points = [
+            (1, NOW_MS - WINDOW_MS / 2),
+            (4, 0),
+            (5, PAST_MS + WINDOW_MS / 2),
+        ]
+        .iter()
+        .map(|&(sensor, ts)| reading("PSS-000000", sensor, ts, 0.0).0)
+        .collect();
+        config.storage = iotkv::Options {
+            memtable_bytes: 1 << 20,
+            ..iotkv::Options::default()
+        };
+        let cluster = Arc::new(gateway::Cluster::start(config).expect("cluster starts"));
+        for sensor in 0..SENSORS {
+            for from_ms in [NOW_MS - WINDOW_MS, PAST_MS] {
+                let batch: Vec<_> = (0..ROWS)
+                    .map(|i| {
+                        let value = 100.0 + ((i * 37) % 101) as f64 + sensor as f64 / 4.0;
+                        reading(
+                            "PSS-000000",
+                            sensor,
+                            from_ms + i * (WINDOW_MS / ROWS),
+                            value,
+                        )
+                    })
+                    .collect();
+                cluster.put_batch(&batch).expect("preload");
+            }
+        }
+
+        let stop = Arc::new(AtomicBool::new(false));
+        let written = Arc::new(AtomicU64::new(0));
+        let writer = {
+            let (cluster, stop, written) = (
+                Arc::clone(&cluster),
+                Arc::clone(&stop),
+                Arc::clone(&written),
+            );
+            std::thread::spawn(move || {
+                let mut ts = NOW_MS;
+                // ordering: Relaxed — a stop latch; the join below orders
+                // everything the writer did before the final count.
+                while !stop.load(Ordering::Relaxed) {
+                    let batch: Vec<_> = (0..64)
+                        .map(|i| reading("PSS-000001", i % SENSORS, ts + i, i as f64))
+                        .collect();
+                    cluster.put_batch(&batch).expect("concurrent ingest");
+                    ts += 64;
+                    // ordering: Relaxed — progress counter, read after join.
+                    written.fetch_add(64, Ordering::Relaxed);
+                }
+            })
+        };
+        // ordering: Relaxed — only waits until ingest is under way.
+        while written.load(Ordering::Relaxed) == 0 {
+            std::thread::yield_now();
+        }
+
+        for q in 0..4 * SENSORS {
+            let kind = QueryKind::ALL[(q % 4) as usize];
+            let sensor = format!("pmu-{:03}", q / 4);
+            let spec = QuerySpec {
+                kind,
+                substation: "PSS-000000".into(),
+                sensor: sensor.clone(),
+                current_from_ms: NOW_MS - WINDOW_MS,
+                current_to_ms: NOW_MS,
+                past_from_ms: PAST_MS,
+                past_to_ms: PAST_MS + WINDOW_MS,
+            };
+            let streamed = execute(cluster.as_ref(), &spec).expect("streamed query");
+            let current = materialized_interval(
+                cluster.as_ref(),
+                kind,
+                "PSS-000000",
+                &sensor,
+                NOW_MS - WINDOW_MS,
+                NOW_MS,
+            );
+            let past = materialized_interval(
+                cluster.as_ref(),
+                kind,
+                "PSS-000000",
+                &sensor,
+                PAST_MS,
+                PAST_MS + WINDOW_MS,
+            );
+            assert_eq!(streamed.current, current, "{kind:?} {sensor}");
+            assert_eq!(streamed.past, past, "{kind:?} {sensor}");
+            assert_eq!((current.rows, past.rows), (ROWS, ROWS), "{kind:?} {sensor}");
+            assert_eq!(streamed.rows_read, 2 * ROWS);
+        }
+
+        // ordering: Relaxed — see the writer loop.
+        stop.store(true, Ordering::Relaxed);
+        writer.join().expect("writer");
+        let stats = cluster.stats();
+        assert_eq!(stats.regions, 4, "the pre-split regions");
+        // ordering: Relaxed — read after join.
+        assert_eq!(
+            stats.puts,
+            2 * SENSORS * ROWS + written.load(Ordering::Relaxed)
+        );
+        drop(cluster);
+        std::fs::remove_dir_all(dir).ok();
     }
 }
 
