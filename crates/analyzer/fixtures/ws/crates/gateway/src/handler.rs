@@ -1,6 +1,6 @@
 //! Fixture: blocking-under-lock (direct, transitive, suppressed, and
-//! clean shapes) plus a transitive panic path from the `handle_request`
-//! entry point.
+//! clean shapes, and a replica ack awaited under a guard) plus a
+//! transitive panic path from the `handle_request` entry point.
 
 pub struct Gate {
     state: Mutex<u64>,
@@ -44,4 +44,11 @@ pub fn handle_request(input: &str) -> u64 {
 fn parse(input: &str) -> u64 {
     assert!(!input.is_empty(), "empty request");
     input.len() as u64
+}
+
+impl Gate {
+    pub fn ack_locked(&self, pending: PendingWrite) {
+        let _g = self.state.lock();
+        pending.wait();
+    }
 }

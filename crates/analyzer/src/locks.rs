@@ -237,7 +237,8 @@ fn shortest_cycle<'e>(
 }
 
 /// `blocking-under-lock`: no blocking operation — socket I/O, fsync,
-/// storage write/open, `thread::sleep` — while a lock guard is live,
+/// storage write/open, a wait for a replica write's ack,
+/// `thread::sleep` — while a lock guard is live,
 /// directly or through a call chain. One stalled connection or storage
 /// stall must never wedge routing for every other thread.
 pub fn check_blocking_under_lock(

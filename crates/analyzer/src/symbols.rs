@@ -411,7 +411,7 @@ fn collect_line_facts(
     }
 
     // Direct blocking operations.
-    const BLOCK_NEEDLES: [(&str, &str); 15] = [
+    const BLOCK_NEEDLES: [(&str, &str); 18] = [
         ("thread::sleep(", "thread::sleep"),
         (".sync_all(", "fsync (sync_all)"),
         (".sync_data(", "fsync (sync_data)"),
@@ -426,6 +426,11 @@ fn collect_line_facts(
         (".write_all(", "socket write"),
         (".read_exact(", "socket read"),
         (".db.put(", "storage write (WAL fsync)"),
+        (".db.write(", "storage write (WAL fsync)"),
+        // A submit waits for room in a full commit queue; `wait()` is the
+        // replica ack the cluster's fan-out blocks on.
+        (".db.submit(", "storage enqueue (full commit queue)"),
+        (".wait()", "storage ack wait (PendingWrite)"),
         ("Db::open(", "storage open (manifest + WAL replay)"),
     ];
     for (needle, what) in BLOCK_NEEDLES {
@@ -775,6 +780,27 @@ mod tests {
         assert_eq!(whats, vec!["thread::sleep", "socket send (FrameConn)"]);
         assert_eq!(f.panics.len(), 1);
         assert_eq!(f.panics[0].line, 4);
+    }
+
+    #[test]
+    fn replica_writes_and_their_acks_are_blocking_sites() {
+        let idx = index_of(
+            "crates/gateway/src/x.rs",
+            "fn fan_out(n: &Node, batch: WriteBatch) {\n\
+                 n.db.write(batch.clone());\n\
+                 let pending = n.db.submit(batch);\n\
+                 pending.wait();\n\
+             }\n",
+        );
+        let whats: Vec<&str> = idx.fns[0].blocks.iter().map(|b| b.what).collect();
+        assert_eq!(
+            whats,
+            vec![
+                "storage write (WAL fsync)",
+                "storage enqueue (full commit queue)",
+                "storage ack wait (PendingWrite)"
+            ]
+        );
     }
 
     #[test]

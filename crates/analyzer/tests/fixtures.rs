@@ -29,6 +29,7 @@ fn exact_findings_over_fixture_workspace() {
         ("blocking-under-lock", "crates/gateway/src/handler.rs", 12),
         ("blocking-under-lock", "crates/gateway/src/handler.rs", 32),
         ("panic-reachability", "crates/gateway/src/handler.rs", 40),
+        ("blocking-under-lock", "crates/gateway/src/handler.rs", 52),
         ("wire-bounded", "crates/gateway/src/server.rs", 2),
         ("unsafe-confined", "crates/iotkv/src/block.rs", 10),
         ("unsafe-confined", "crates/iotkv/src/checksum.rs", 9),
@@ -180,9 +181,10 @@ fn blocking_under_lock_direct_and_transitive() {
         .iter()
         .filter(|f| f.rule == "blocking-under-lock")
         .collect();
-    // stream_locked (direct) and pace_locked (transitive) fire; the
-    // suppressed twin and the drop-before-send shape stay silent.
-    assert_eq!(bl.len(), 2, "{bl:?}");
+    // stream_locked (direct), pace_locked (transitive) and ack_locked
+    // (a replica ack) fire; the suppressed twin and the drop-before-send
+    // shape stay silent.
+    assert_eq!(bl.len(), 3, "{bl:?}");
     assert_eq!(
         (bl[0].file.as_str(), bl[0].line),
         ("crates/gateway/src/handler.rs", 12)
@@ -212,6 +214,15 @@ fn blocking_under_lock_direct_and_transitive() {
         bl[1].message
     );
     assert!(bl[1].message.contains("thread::sleep"), "{}", bl[1].message);
+    assert_eq!(
+        (bl[2].file.as_str(), bl[2].line),
+        ("crates/gateway/src/handler.rs", 52)
+    );
+    assert!(
+        bl[2].message.contains("storage ack wait (PendingWrite)"),
+        "{}",
+        bl[2].message
+    );
 }
 
 #[test]

@@ -12,7 +12,7 @@ use crate::region::RegionMap;
 use crate::topology::{MigrationCtx, TopologyState};
 use crate::{GatewayError, Result};
 use bytes::Bytes;
-use iotkv::{Db, Options, WriteBatch};
+use iotkv::{Db, Options, PendingWrite, WriteBatch};
 use parking_lot::RwLock;
 use simkit::sync::{AtomicU64, Mutex, Ordering};
 use std::path::PathBuf;
@@ -399,7 +399,9 @@ impl Cluster {
     /// per region, fault judgment runs once per `(node, group)`, and each
     /// live replica applies its group through a single storage-engine
     /// [`WriteBatch`] — one WAL record and one group-commit slot per
-    /// group instead of one per kvp.
+    /// group instead of one per kvp. Every replica batch of the call is
+    /// submitted before any is awaited, so the replicas commit
+    /// concurrently, and the call returns only once all of them have.
     ///
     /// Degraded mode: down replicas are skipped and receive one hint per
     /// kvp (replayed on restart); the call is acknowledged as long as
@@ -440,8 +442,8 @@ impl Cluster {
     /// Lands a planned write and accounts for it. Replica writes are
     /// counted as they land and added on this function's single exit, so
     /// the stats reconcile with per-node `writes` (and `node_db_stats`)
-    /// even when a storage engine fails partway — in the replica loop or
-    /// in the fence. `puts` is only bumped on full acknowledgement.
+    /// even when a storage engine fails partway — in the replica fan-out
+    /// or in the fence. `puts` is only bumped on full acknowledgement.
     fn commit_write<K: AsRef<[u8]>, V: AsRef<[u8]>>(
         &self,
         items: &[(K, V)],
@@ -533,14 +535,12 @@ impl Cluster {
         now: u64,
         written: &mut u64,
     ) -> Result<()> {
-        for group in groups {
-            for &node in &group.live {
-                self.deliver(node, false, items, &group.idxs, written)?;
-            }
-            for &node in &group.down {
-                self.deliver(node, true, items, &group.idxs, written)?;
-            }
-        }
+        let targets = groups.iter().flat_map(|group| {
+            let idxs = group.idxs.as_slice();
+            let live = group.live.iter().map(move |&node| (node, false, idxs));
+            live.chain(group.down.iter().map(move |&node| (node, true, idxs)))
+        });
+        self.deliver(items, targets, written)?;
         if self.fault.is_some() {
             // The groups landed as units, but a concurrent topology change
             // re-routes each key independently.
@@ -557,42 +557,73 @@ impl Cluster {
         Ok(())
     }
 
-    /// Hands the kvps `items[idxs]` to `node`: one storage batch when it
-    /// is up, one hint per kvp (replayed on restart) when it is down.
-    fn deliver<K: AsRef<[u8]>, V: AsRef<[u8]>>(
+    /// The one place a replica is written or hinted. Each target
+    /// `(node, down, idxs)` gets the kvps `items[idxs]`: one storage batch
+    /// when it is up, one hint per kvp (replayed on restart) when it is
+    /// down.
+    ///
+    /// Every storage batch is in flight before any is awaited. Pass 1
+    /// submits to the targets in order and stops at the first submit that
+    /// fails: nothing after that target is written or hinted. Pass 2 awaits
+    /// every write that was submitted and counts each one that landed in
+    /// `written` and its node's `writes`. The first error in target order
+    /// is returned only after that, so nothing is acked while a replica
+    /// write is still in flight and the counts stay reconciled.
+    fn deliver<'i, K: AsRef<[u8]>, V: AsRef<[u8]>>(
         &self,
-        node: usize,
-        down: bool,
         items: &[(K, V)],
-        idxs: &[usize],
+        targets: impl IntoIterator<Item = (usize, bool, &'i [usize])>,
         written: &mut u64,
     ) -> Result<()> {
-        let kvps = idxs
-            .iter()
-            .map(|&i| (items[i].0.as_ref(), items[i].1.as_ref()));
-        let count = idxs.len() as u64;
-        let n = self.node(node);
-        // ordering: Relaxed — statistics counters (see commit_write()).
-        if down {
-            n.hints
-                .lock()
-                .extend(kvps.map(|(k, v)| (k.to_vec(), v.to_vec())));
-            self.resilience
-                .hinted_writes
-                .fetch_add(count, Ordering::Relaxed);
-            self.resilience
-                .under_replicated_writes
-                .fetch_add(count, Ordering::Relaxed);
-        } else {
+        let mut in_flight: Vec<(Arc<Node>, u64, PendingWrite)> = Vec::new();
+        let mut submitted = Ok(());
+        for (node, down, idxs) in targets {
+            let kvps = idxs
+                .iter()
+                .map(|&i| (items[i].0.as_ref(), items[i].1.as_ref()));
+            let count = idxs.len() as u64;
+            let n = self.node(node);
+            if down {
+                n.hints
+                    .lock()
+                    .extend(kvps.map(|(k, v)| (k.to_vec(), v.to_vec())));
+                // ordering: Relaxed — statistics counters (see commit_write()).
+                self.resilience
+                    .hinted_writes
+                    .fetch_add(count, Ordering::Relaxed);
+                self.resilience
+                    .under_replicated_writes
+                    .fetch_add(count, Ordering::Relaxed);
+                continue;
+            }
             let mut batch = WriteBatch::new();
             for (key, value) in kvps {
                 batch.put(key, value);
             }
-            n.db.write(batch)?;
-            n.writes.fetch_add(count, Ordering::Relaxed);
-            *written += count;
+            match n.db.submit(batch) {
+                Ok(pending) => in_flight.push((n, count, pending)),
+                Err(e) => {
+                    submitted = Err(e.into());
+                    break;
+                }
+            }
         }
-        Ok(())
+        let mut landed = Ok(());
+        for (n, count, pending) in in_flight {
+            match pending.wait() {
+                Ok(()) => {
+                    // ordering: Relaxed — statistics counter.
+                    n.writes.fetch_add(count, Ordering::Relaxed);
+                    *written += count;
+                }
+                Err(e) => {
+                    if landed.is_ok() {
+                        landed = Err(e.into());
+                    }
+                }
+            }
+        }
+        landed.and(submitted)
     }
 
     /// The epoch fence of one kvp: records the write in active migration
@@ -633,10 +664,11 @@ impl Cluster {
             self.resilience
                 .stale_route_retries
                 .fetch_add(1, Ordering::Relaxed);
-            for &node in &missing {
-                handled.push(node);
-                self.deliver(node, self.node_down(node, now), items, &[idx], written)?;
-            }
+            handled.extend_from_slice(&missing);
+            let targets = missing
+                .iter()
+                .map(|&node| (node, self.node_down(node, now), std::slice::from_ref(&idx)));
+            self.deliver(items, targets, written)?;
         }
     }
 
@@ -1447,6 +1479,42 @@ mod tests {
         let stats = c.stats();
         assert_eq!(stats.puts, 1, "the failed put was not acknowledged");
         assert_eq!(stats.node_writes, vec![2, 1, 1]);
+        assert_eq!(
+            stats.replica_writes,
+            stats.node_writes.iter().sum::<u64>(),
+            "replica_writes must reconcile with per-node writes"
+        );
+        destroy(c);
+    }
+
+    #[test]
+    fn broken_replica_fails_a_multi_region_put_batch_with_reconciled_counters() {
+        // Two regions: [0, 1, 2] below "m" and [1, 2, 3] from "m" on. With
+        // node 3's engine broken (see partial_replica_failure_…) the first
+        // group lands on all three replicas and the second on nodes 1 and
+        // 2 before node 3's submit fails.
+        let c = small_cluster("batch-broken", 4, &["m"]);
+        let batch = |suffix: &str| -> Vec<(Bytes, Bytes)> {
+            ["alpha", "november"]
+                .iter()
+                .map(|k| {
+                    (
+                        Bytes::from(format!("{k}{suffix}")),
+                        Bytes::from_static(b"v"),
+                    )
+                })
+                .collect()
+        };
+        c.put_batch(&batch("1")).unwrap();
+        assert_eq!(c.stats().node_writes, vec![1, 2, 2, 1]);
+        std::fs::remove_dir_all(c.config().data_dir.join("node-3")).unwrap();
+        c.node(3).db.flush().unwrap();
+        let err = c.put_batch(&batch("2")).unwrap_err();
+        assert!(matches!(err, GatewayError::Storage(_)), "got {err}");
+        let stats = c.stats();
+        assert_eq!(stats.puts, 2, "the failed batch was not acknowledged");
+        assert_eq!(stats.put_batches, 1);
+        assert_eq!(stats.node_writes, vec![2, 4, 4, 1]);
         assert_eq!(
             stats.replica_writes,
             stats.node_writes.iter().sum::<u64>(),

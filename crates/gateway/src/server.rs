@@ -10,10 +10,17 @@
 //! half-purged keyspace. Handler reads run under the mandatory
 //! `FrameConn` timeout, and `stop()` shuts every live socket down, so
 //! the server can always be torn down promptly.
+//!
+//! Connection lifecycle: the accept loop registers a raw clone of each
+//! accepted socket under a connection id, so `stop()` can reach it. The
+//! handler unregisters that clone however it exits (EOF, idle timeout,
+//! wire error, `Shutdown` or a panic), which closes the socket: the peer
+//! sees EOF at once, and the registry holds only live connections.
 
 use crate::cluster::Cluster;
 use crate::GatewayError;
-use parking_lot::RwLock;
+use parking_lot::{Mutex, RwLock};
+use std::collections::HashMap;
 use std::io::ErrorKind;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -25,14 +32,16 @@ use wire::{FrameConn, Message, WireError};
 /// How long the accept loop sleeps between non-blocking accept polls.
 const ACCEPT_POLL: Duration = Duration::from_millis(2);
 
+/// Raw clones of the live connections' streams by connection id, kept
+/// so `stop()` can unblock handlers parked in a read.
+type Registry = Arc<Mutex<HashMap<u64, TcpStream>>>;
+
 /// A running gateway socket server. Dropping it stops the accept loop
 /// and severs every open connection.
 pub struct GatewayServer {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
-    /// Raw clones of every accepted stream, kept so `stop()` can unblock
-    /// handlers parked in a read.
-    conns: Arc<parking_lot::Mutex<Vec<TcpStream>>>,
+    conns: Registry,
     accept_thread: Option<JoinHandle<()>>,
 }
 
@@ -55,8 +64,7 @@ impl GatewayServer {
         // self-dial to wake a blocking accept.
         listener.set_nonblocking(true)?;
         let stop = Arc::new(AtomicBool::new(false));
-        let conns: Arc<parking_lot::Mutex<Vec<TcpStream>>> =
-            Arc::new(parking_lot::Mutex::new(Vec::new()));
+        let conns = Registry::default();
         let accept_thread = {
             let stop = Arc::clone(&stop);
             let conns = Arc::clone(&conns);
@@ -77,13 +85,19 @@ impl GatewayServer {
         self.addr
     }
 
+    /// Connections whose handler has not exited yet.
+    #[cfg(test)]
+    fn live_connections(&self) -> usize {
+        self.conns.lock().len()
+    }
+
     /// Stops the accept loop and severs every open connection. Handler
     /// threads observe the dead socket on their next read and exit.
     pub fn stop(&mut self) {
         // ordering: Relaxed — the flag is a latch polled by the accept
         // loop and handlers; no data is published through it.
         self.stop.store(true, Ordering::Relaxed);
-        for conn in self.conns.lock().drain(..) {
+        for (_, conn) in self.conns.lock().drain() {
             let _ = conn.shutdown(std::net::Shutdown::Both);
         }
         if let Some(handle) = self.accept_thread.take() {
@@ -98,13 +112,27 @@ impl Drop for GatewayServer {
     }
 }
 
+/// A handler's entry in the registry; dropping it, on whatever path the
+/// handler leaves by, closes the registry's clone of the socket.
+struct Registered {
+    conns: Registry,
+    id: u64,
+}
+
+impl Drop for Registered {
+    fn drop(&mut self) {
+        self.conns.lock().remove(&self.id);
+    }
+}
+
 fn accept_loop(
     listener: TcpListener,
     cluster: Arc<RwLock<Cluster>>,
     stop: Arc<AtomicBool>,
-    conns: Arc<parking_lot::Mutex<Vec<TcpStream>>>,
+    conns: Registry,
     read_timeout: Duration,
 ) {
+    let mut next_id = 0u64;
     // ordering: Relaxed — shutdown latch (see `stop`).
     while !stop.load(Ordering::Relaxed) {
         match listener.accept() {
@@ -115,12 +143,22 @@ fn accept_loop(
                 if stream.set_nonblocking(false).is_err() {
                     continue;
                 }
-                if let Ok(raw) = stream.try_clone() {
-                    conns.lock().push(raw);
-                }
+                // Without a clone `stop()` could not unblock the handler,
+                // so a socket that cannot be cloned is not served.
+                let Ok(raw) = stream.try_clone() else {
+                    continue;
+                };
+                let id = next_id;
+                next_id += 1;
+                conns.lock().insert(id, raw);
+                let registered = Registered {
+                    conns: Arc::clone(&conns),
+                    id,
+                };
                 let cluster = Arc::clone(&cluster);
                 let stop = Arc::clone(&stop);
                 std::thread::spawn(move || {
+                    let _registered = registered;
                     if let Ok(conn) = FrameConn::new(stream, read_timeout) {
                         serve_conn(conn, cluster, stop);
                     }
@@ -388,6 +426,53 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
+        server.stop();
+        std::fs::remove_dir_all(dir).ok();
+    }
+
+    /// Waits, for at most `limit`, until every handler has exited.
+    fn await_no_live_connections(server: &GatewayServer, limit: Duration) {
+        let deadline = std::time::Instant::now() + limit;
+        while server.live_connections() > 0 && std::time::Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+    }
+
+    #[test]
+    fn idle_timed_out_connection_gets_eof_not_a_client_timeout() {
+        let (cluster, dir) = start_cluster("idle");
+        let mut server = GatewayServer::start(
+            Arc::clone(&cluster),
+            "127.0.0.1:0",
+            Duration::from_millis(200),
+        )
+        .unwrap();
+        // The client reads with a 5 s timeout; the server's 200 ms read
+        // timeout ends the handler first.
+        let mut conn = dial(&server);
+        await_no_live_connections(&server, Duration::from_secs(2));
+        let asked = std::time::Instant::now();
+        assert!(conn.request(&Message::Ping).is_err());
+        let waited = asked.elapsed();
+        assert!(
+            waited < Duration::from_secs(1),
+            "a closed connection must fail fast, not after {waited:?}"
+        );
+        server.stop();
+        std::fs::remove_dir_all(dir).ok();
+    }
+
+    #[test]
+    fn finished_connections_leave_the_registry() {
+        let (cluster, dir) = start_cluster("churn");
+        let mut server =
+            GatewayServer::start(Arc::clone(&cluster), "127.0.0.1:0", Duration::from_secs(5))
+                .unwrap();
+        for _ in 0..50 {
+            drop(dial(&server));
+        }
+        await_no_live_connections(&server, Duration::from_secs(5));
+        assert_eq!(server.live_connections(), 0, "a clone outlived its handler");
         server.stop();
         std::fs::remove_dir_all(dir).ok();
     }

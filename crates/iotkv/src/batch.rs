@@ -14,7 +14,6 @@
 
 use crate::encoding::{get_len_prefixed, get_u32, get_u64, put_len_prefixed, put_u32, put_u64};
 use crate::{Error, Result, SeqNo, ValueKind};
-use bytes::Bytes;
 
 const HEADER_LEN: usize = 12;
 
@@ -108,13 +107,15 @@ impl WriteBatch {
     }
 }
 
-/// One decoded operation from a batch.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct BatchOp {
+/// One decoded operation from a batch. `key` and `value` borrow the
+/// encoded buffer, so decoding copies nothing; `value` is empty for a
+/// deletion.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct BatchOp<'a> {
     pub seq: SeqNo,
     pub kind: ValueKind,
-    pub key: Bytes,
-    pub value: Bytes,
+    pub key: &'a [u8],
+    pub value: &'a [u8],
 }
 
 /// Iterator over the operations of an encoded batch. Each operation gets
@@ -125,8 +126,8 @@ pub struct BatchIter<'a> {
     seq: SeqNo,
 }
 
-impl Iterator for BatchIter<'_> {
-    type Item = Result<BatchOp>;
+impl<'a> Iterator for BatchIter<'a> {
+    type Item = Result<BatchOp<'a>>;
 
     fn next(&mut self) -> Option<Self::Item> {
         if self.remaining == 0 {
@@ -141,8 +142,8 @@ impl Iterator for BatchIter<'_> {
     }
 }
 
-impl BatchIter<'_> {
-    fn decode_one(&mut self) -> Result<BatchOp> {
+impl<'a> BatchIter<'a> {
+    fn decode_one(&mut self) -> Result<BatchOp<'a>> {
         let s = &mut self.rest;
         if s.is_empty() {
             return Err(Error::corruption("batch shorter than declared count"));
@@ -150,10 +151,10 @@ impl BatchIter<'_> {
         let kind = ValueKind::from_u8(s[0])
             .ok_or_else(|| Error::corruption(format!("bad op kind {}", s[0])))?;
         *s = &s[1..];
-        let key = Bytes::copy_from_slice(get_len_prefixed(s)?);
+        let key = get_len_prefixed(s)?;
         let value = match kind {
-            ValueKind::Put => Bytes::copy_from_slice(get_len_prefixed(s)?),
-            ValueKind::Delete => Bytes::new(),
+            ValueKind::Put => get_len_prefixed(s)?,
+            ValueKind::Delete => &[],
         };
         let seq = self.seq;
         self.seq += 1;
@@ -185,8 +186,8 @@ mod tests {
         assert_eq!(ops.len(), 3);
         assert_eq!(ops[0].seq, 100);
         assert_eq!(ops[0].kind, ValueKind::Put);
-        assert_eq!(&ops[0].key[..], b"k1");
-        assert_eq!(&ops[0].value[..], b"v1");
+        assert_eq!(ops[0].key, b"k1");
+        assert_eq!(ops[0].value, b"v1");
         assert_eq!(ops[1].seq, 101);
         assert_eq!(ops[1].kind, ValueKind::Delete);
         assert_eq!(ops[2].seq, 102);

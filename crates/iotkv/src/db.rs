@@ -10,6 +10,12 @@
 //!   the new visible sequence number, and only then releases the waiting
 //!   writers. Group commit is what amortises `fsync` under concurrency —
 //!   the effect the paper's super-linear scaling region rides on.
+//! * A write is two halves: [`Db::submit`] checks the database is open
+//!   and healthy and enqueues the batch; [`PendingWrite::wait`] receives
+//!   the commit thread's reply. [`Db::write`] (and so `put`) is the two
+//!   back to back. A caller writing one batch to several databases — the
+//!   cluster's replicas — submits to all of them first and then waits,
+//!   so their commit threads run at the same time.
 //! * Reads are lock-light: they load the visible sequence number, snapshot
 //!   `Arc`s of the memtables and the current version, and proceed without
 //!   blocking writers.
@@ -537,7 +543,7 @@ impl Db {
                 let (_, ops) = WriteBatch::decode(&payload)?;
                 for op in ops {
                     let op = op?;
-                    mem.add(&op.key, op.seq, op.kind, &op.value);
+                    mem.add(op.key, op.seq, op.kind, op.value);
                     last_seq = last_seq.max(op.seq);
                 }
             }
@@ -595,9 +601,7 @@ impl Db {
         }
         let mut batch = WriteBatch::new();
         batch.put(key, value);
-        // ordering: Relaxed — statistics counter.
-        self.inner.counters.puts.fetch_add(1, Ordering::Relaxed);
-        self.write_batch_internal(batch)
+        self.write(batch)
     }
 
     /// Deletes `key` (writes a tombstone).
@@ -609,23 +613,36 @@ impl Db {
         batch.delete(key);
         // ordering: Relaxed — statistics counter.
         self.inner.counters.deletes.fetch_add(1, Ordering::Relaxed);
-        self.write_batch_internal(batch)
+        self.enqueue(batch)?.wait()
     }
 
-    /// Applies a batch atomically.
+    /// Applies a batch atomically: [`Db::submit`], then
+    /// [`PendingWrite::wait`].
     pub fn write(&self, batch: WriteBatch) -> Result<()> {
+        self.submit(batch)?.wait()
+    }
+
+    /// Hands a batch to the commit thread and returns without waiting for
+    /// it to commit. The batch is committed in submission order relative
+    /// to every other write on this `Db`; [`PendingWrite::wait`] returns
+    /// its outcome. A caller with writes for several databases submits
+    /// them all before it waits for any, so their commits overlap.
+    ///
+    /// Fails without enqueuing anything when the database is closed or
+    /// its maintenance has failed.
+    pub fn submit(&self, batch: WriteBatch) -> Result<PendingWrite> {
         if batch.is_empty() {
-            return Ok(());
+            return Ok(PendingWrite { reply: None });
         }
         // ordering: Relaxed — statistics counter.
         self.inner
             .counters
             .puts
             .fetch_add(batch.len() as u64, Ordering::Relaxed);
-        self.write_batch_internal(batch)
+        self.enqueue(batch)
     }
 
-    fn write_batch_internal(&self, batch: WriteBatch) -> Result<()> {
+    fn enqueue(&self, batch: WriteBatch) -> Result<PendingWrite> {
         // ordering: Acquire — pairs with close()'s Release store; a writer
         // that sees `closed` must also see the drained commit pipeline.
         if self.inner.closed.load(Ordering::Acquire) {
@@ -639,7 +656,9 @@ impl Db {
                 reply: reply_tx,
             })
             .map_err(|_| Error::Closed)?;
-        reply_rx.recv().map_err(|_| Error::Closed)?
+        Ok(PendingWrite {
+            reply: Some(reply_rx),
+        })
     }
 
     /// Reads the newest visible value of `key`.
@@ -842,6 +861,30 @@ impl Db {
     }
 }
 
+/// A write handed to the commit thread by [`Db::submit`] and not yet
+/// awaited.
+///
+/// Dropping a `PendingWrite` does not cancel the write: the commit thread
+/// commits it all the same, and only its outcome goes unseen. A write
+/// submitted to the same `Db` after it is committed after it.
+#[must_use = "only `wait` reports whether the write committed"]
+pub struct PendingWrite {
+    /// `None` for an empty batch, which nothing was enqueued for.
+    reply: Option<Receiver<Result<()>>>,
+}
+
+impl PendingWrite {
+    /// Blocks until the write's commit group is in the WAL (synced as
+    /// [`SyncMode`] asks) and applied to the memtable, and returns the
+    /// outcome.
+    pub fn wait(self) -> Result<()> {
+        match self.reply {
+            Some(reply) => reply.recv().map_err(|_| Error::Closed)?,
+            None => Ok(()),
+        }
+    }
+}
+
 /// A streaming range scan over one [`Db`], created by [`Db::scan_iter`].
 ///
 /// Yields `(user_key, value)` pairs in key order. The underlying merge
@@ -978,7 +1021,9 @@ fn commit_loop(
             continue;
         }
 
-        // Stage 3: apply to the memtable and publish visibility.
+        // Stage 3: apply to the memtable, each op read in place from the
+        // encoded batch (the memtable takes its own copy), and publish
+        // visibility.
         let mem = Arc::clone(&inner.mem.read());
         let mut apply_err: Option<Error> = None;
         'apply: for (batch, _) in &group {
@@ -986,7 +1031,7 @@ fn commit_loop(
                 Ok((_, ops)) => {
                     for op in ops {
                         match op {
-                            Ok(op) => mem.add(&op.key, op.seq, op.kind, &op.value),
+                            Ok(op) => mem.add(op.key, op.seq, op.kind, op.value),
                             Err(e) => {
                                 apply_err = Some(e);
                                 break 'apply;
@@ -1136,6 +1181,41 @@ mod tests {
             "delete after put in batch wins"
         );
         assert_eq!(db.get(b"b").unwrap().unwrap().as_ref(), b"2");
+        drop(db);
+        std::fs::remove_dir_all(dir).ok();
+    }
+
+    fn one_put(key: &[u8], value: &[u8]) -> WriteBatch {
+        let mut b = WriteBatch::new();
+        b.put(key, value);
+        b
+    }
+
+    #[test]
+    fn submits_awaited_in_reverse_order_both_commit() {
+        let dir = tmpdir("submitrev");
+        let db = Db::open(&dir, Options::small()).unwrap();
+        let first = db.submit(one_put(b"a", b"1")).unwrap();
+        let second = db.submit(one_put(b"b", b"2")).unwrap();
+        second.wait().unwrap();
+        first.wait().unwrap();
+        assert_eq!(db.get(b"a").unwrap().unwrap().as_ref(), b"1");
+        assert_eq!(db.get(b"b").unwrap().unwrap().as_ref(), b"2");
+        assert_eq!(db.stats().puts, 2);
+        db.submit(WriteBatch::new()).unwrap().wait().unwrap();
+        assert_eq!(db.stats().puts, 2, "an empty batch enqueues nothing");
+        drop(db);
+        std::fs::remove_dir_all(dir).ok();
+    }
+
+    #[test]
+    fn dropped_pending_write_still_commits() {
+        let dir = tmpdir("submitdrop");
+        let db = Db::open(&dir, Options::small()).unwrap();
+        drop(db.submit(one_put(b"dropped", b"v")).unwrap());
+        // A later write's ack means every earlier submit has committed.
+        db.put(b"later", b"v").unwrap();
+        assert_eq!(db.get(b"dropped").unwrap().unwrap().as_ref(), b"v");
         drop(db);
         std::fs::remove_dir_all(dir).ok();
     }

@@ -62,7 +62,7 @@ pub mod version;
 pub mod wal;
 
 pub use batch::WriteBatch;
-pub use db::{Db, DbStats, ScanIter};
+pub use db::{Db, DbStats, PendingWrite, ScanIter};
 pub use error::{Error, Result};
 pub use options::{Options, SyncMode};
 

@@ -54,6 +54,10 @@ if [[ "${1:-}" != "quick" ]]; then
     # Every Db runs its background maintenance thread; one test at a time
     # gives that thread different interleavings than the parallel pass.
     cargo test --release -q -p iotkv -p gateway -- --test-threads=1
+    # A put's replica writes commit concurrently; the crash windows and
+    # hint replays of the fault-tolerance suite get serial interleavings
+    # too.
+    cargo test --release -q -p tpcx-iot --test fault_tolerance -- --test-threads=1
 
     echo "== iotbench (unit tests + smoke of all four workloads and their gates) =="
     # benchmarks/ is its own workspace, so the line above does not reach
