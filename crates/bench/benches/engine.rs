@@ -117,9 +117,68 @@ fn write_batch(c: &mut Criterion) {
     std::fs::remove_dir_all(dir).ok();
 }
 
+/// One L0→L1 compaction of ~10 overlapping L0 tables of 1 KB kvps, timed
+/// from `Db::open` with the default options to `Db::compact()` returning.
+/// Each iteration compacts a fresh copy of the same loaded directory.
+fn compact_l0(c: &mut Criterion) {
+    let template = std::env::temp_dir().join(format!("iotkv-bench-l0-{}", std::process::id()));
+    std::fs::remove_dir_all(&template).ok();
+    let loading = Options {
+        l0_compaction_trigger: 64,
+        l0_stall_trigger: 64,
+        ..Options::default()
+    };
+    let db = Db::open(&template, loading).unwrap();
+    let value = vec![0xA5u8; 1000];
+    for i in 0..80_000u64 {
+        let key = format!("PSS-000000|sensor-{:03}|{:013}", i % 200, i);
+        db.put(key.as_bytes(), &value).unwrap();
+    }
+    db.flush().unwrap();
+    let tables = db.stats().level_shape[0];
+    drop(db);
+    let input_bytes: u64 = std::fs::read_dir(&template)
+        .unwrap()
+        .flatten()
+        .filter(|e| e.path().extension().is_some_and(|x| x == "sst"))
+        .map(|e| e.metadata().unwrap().len())
+        .sum();
+    println!("engine/compact_l0 input: {tables} L0 tables, {input_bytes} bytes");
+
+    let work = template.with_extension("work");
+    let mut group = c.benchmark_group("engine");
+    group.throughput(Throughput::Bytes(input_bytes));
+    group.bench_function("compact_l0", |b| {
+        b.iter_batched(
+            || {
+                std::fs::remove_dir_all(&work).ok();
+                std::fs::create_dir_all(&work).unwrap();
+                for entry in std::fs::read_dir(&template).unwrap().flatten() {
+                    std::fs::copy(entry.path(), work.join(entry.file_name())).unwrap();
+                }
+            },
+            |()| {
+                Db::open(&work, Options::default())
+                    .unwrap()
+                    .compact()
+                    .unwrap()
+            },
+            BatchSize::PerIteration,
+        )
+    });
+    group.finish();
+    std::fs::remove_dir_all(work).ok();
+    std::fs::remove_dir_all(template).ok();
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(30);
     targets = put_1kb, get_hot, scan_window, write_batch
 }
-criterion_main!(benches);
+criterion_group! {
+    name = maintenance;
+    config = Criterion::default().sample_size(5);
+    targets = compact_l0
+}
+criterion_main!(benches, maintenance);

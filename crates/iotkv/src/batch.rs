@@ -18,10 +18,17 @@ use crate::{Error, Result, SeqNo, ValueKind};
 const HEADER_LEN: usize = 12;
 
 /// An ordered set of operations applied atomically.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug)]
 pub struct WriteBatch {
     buf: Vec<u8>,
     count: u32,
+}
+
+/// The same empty batch as [`WriteBatch::new`], header included.
+impl Default for WriteBatch {
+    fn default() -> WriteBatch {
+        WriteBatch::new()
+    }
 }
 
 impl WriteBatch {

@@ -1,9 +1,16 @@
 //! A sharded LRU block cache.
 //!
-//! Cached unit: one decoded data block, keyed by `(table id, block offset)`.
+//! Cached unit: the raw bytes of one CRC-checked data block, keyed by
+//! `(table id, block offset)`; a reader decodes them again
+//! (`Block::entries`) each time it uses the block.
 //! The cache is sharded 16 ways by key hash to keep lock hold times short;
 //! each shard is an exact LRU implemented as a hash map into a slab-backed
 //! doubly-linked list (O(1) hit, insert, and eviction).
+//!
+//! Only reads fill it: point lookups and scans. Compaction reads its
+//! inputs past the cache (`Table::maintenance_iter`), neither looking
+//! blocks up nor inserting them, so the hit and miss tallies count
+//! queries alone.
 
 use crate::sstable::block::Block;
 use simkit::sync::{AtomicU64, Mutex, Ordering};
@@ -202,7 +209,7 @@ impl BlockCache {
     }
 
     /// Drops every cached block of a table (called when a compaction
-    /// deletes the file).
+    /// deletes the file; queries may have cached some of its blocks).
     pub fn erase_table(&self, table_id: u64) {
         if !self.enabled {
             return;

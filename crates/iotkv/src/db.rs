@@ -400,7 +400,9 @@ impl DbInner {
                         .get(&f.id)
                         // lint:allow(unwrap) invariant panic, see above
                         .unwrap_or_else(|| panic!("table {} missing from version state", f.id));
-                    Source::Table(table.iter())
+                    // Inputs are read once and deleted: past the block
+                    // cache, which keeps what queries read.
+                    Source::Table(table.maintenance_iter())
                 })
                 .collect()
         };
@@ -435,6 +437,7 @@ impl DbInner {
         drop(vset);
 
         for id in &deleted {
+            // Queries may have cached blocks of an input.
             self.cache.erase_table(*id);
             std::fs::remove_file(table_path(&self.dir, *id)).ok();
         }
@@ -1593,6 +1596,37 @@ mod tests {
         db.flush().unwrap();
         assert!(db.stats().flushes >= 6);
         assert_each_key_once(&db, 2 * PER_WRITER);
+        drop(db);
+        std::fs::remove_dir_all(dir).ok();
+    }
+
+    #[test]
+    fn compaction_leaves_the_block_cache_alone() {
+        let dir = tmpdir("cachealone");
+        let db = Db::open(&dir, Options::small()).unwrap();
+        let inner = Arc::clone(&db.inner);
+        let cache = &inner.cache;
+        let claim = inner.maint.lock();
+        let mut next = 0;
+        while db.stats().level_shape[0] <= inner.opts.l0_compaction_trigger {
+            fill_until_frozen(&db, &mut next, 1);
+            while inner.flush_one_imm(&claim).unwrap() {}
+        }
+        let untouched = (cache.used_bytes(), cache.hit_count(), cache.miss_count());
+        drop(claim);
+
+        db.compact().unwrap();
+        let stats = db.stats();
+        assert!(stats.compactions > 0 && stats.level_shape[0] == 0);
+        assert_eq!(
+            (cache.used_bytes(), cache.hit_count(), cache.miss_count()),
+            untouched,
+            "compaction read its inputs past the cache"
+        );
+
+        // A query's blocks do go into the cache.
+        assert_eq!(db.scan_iter(b"key-", b"key-~").count(), next);
+        assert!(cache.miss_count() > 0 && cache.used_bytes() > 0);
         drop(db);
         std::fs::remove_dir_all(dir).ok();
     }

@@ -44,7 +44,8 @@ impl BlockBuilder {
     }
 }
 
-/// A decoded data block held in memory (and shared via the block cache).
+/// One data block's raw, CRC-checked bytes held in memory (and shared via
+/// the block cache); [`Block::entries`] decodes them.
 pub struct Block {
     /// Raw block bytes.
     data: Bytes,

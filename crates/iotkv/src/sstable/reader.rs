@@ -1,5 +1,6 @@
 //! Reads sorted table files: point lookups (bloom-gated) and ordered
-//! iteration, with block-level caching.
+//! iteration. Reads go through the block cache; compaction's iterators
+//! ([`Table::maintenance_iter`]) read past it.
 
 use crate::cache::BlockCache;
 use crate::checksum::{crc32c, unmask};
@@ -79,13 +80,18 @@ impl Table {
         bloom::may_contain(&self.filter, user_key)
     }
 
+    /// Reads one block from the file and checks its CRC.
+    fn read_block(&self, handle: BlockHandle) -> Result<Block> {
+        let raw = read_checked(&self.file, handle, self.file_size)?;
+        Ok(Block::new(raw))
+    }
+
     fn load_block(&self, handle: BlockHandle) -> Result<Arc<Block>> {
         let key = (self.id, handle.offset);
         if let Some(b) = self.cache.get(&key) {
             return Ok(b);
         }
-        let raw = read_checked(&self.file, handle, self.file_size)?;
-        let block = Arc::new(Block::new(raw));
+        let block = Arc::new(self.read_block(handle)?);
         self.cache.insert(key, Arc::clone(&block));
         Ok(block)
     }
@@ -127,15 +133,17 @@ impl Table {
         Ok(None)
     }
 
-    /// Creates an iterator positioned before the first entry.
+    /// Creates an iterator positioned before the first entry. It reads
+    /// blocks through the block cache.
     pub fn iter(self: &Arc<Self>) -> TableIterator {
-        TableIterator {
-            table: Arc::clone(self),
-            block_idx: 0,
-            entries: Vec::new(),
-            pos: 0,
-            error: None,
-        }
+        TableIterator::new(self, true)
+    }
+
+    /// An iterator for compaction: each block is read from the file and
+    /// CRC-checked like a cache miss, but the cache is neither looked up
+    /// nor filled, so a compaction cannot evict the blocks queries use.
+    pub(crate) fn maintenance_iter(self: &Arc<Self>) -> TableIterator {
+        TableIterator::new(self, false)
     }
 }
 
@@ -172,6 +180,8 @@ fn read_checked(file: &File, handle: BlockHandle, file_size: u64) -> Result<Vec<
 /// [`TableIterator::take_error`]; iteration stops at the first error.
 pub struct TableIterator {
     table: Arc<Table>,
+    /// Whether blocks come through the block cache; fixed at creation.
+    cached: bool,
     block_idx: usize,
     entries: Vec<(InternalKey, Bytes)>,
     pos: usize,
@@ -179,6 +189,17 @@ pub struct TableIterator {
 }
 
 impl TableIterator {
+    fn new(table: &Arc<Table>, cached: bool) -> TableIterator {
+        TableIterator {
+            table: Arc::clone(table),
+            cached,
+            block_idx: 0,
+            entries: Vec::new(),
+            pos: 0,
+            error: None,
+        }
+    }
+
     /// Positions the iterator at the first entry `>= target`.
     pub fn seek(&mut self, target: &InternalKey) {
         self.entries.clear();
@@ -204,10 +225,12 @@ impl TableIterator {
     }
 
     fn fill(&mut self) -> Result<()> {
-        self.entries = self
-            .table
-            .load_block(self.table.index[self.block_idx].handle)?
-            .entries()?;
+        let handle = self.table.index[self.block_idx].handle;
+        self.entries = if self.cached {
+            self.table.load_block(handle)?.entries()?
+        } else {
+            self.table.read_block(handle)?.entries()?
+        };
         self.pos = 0;
         Ok(())
     }

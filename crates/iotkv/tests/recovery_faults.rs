@@ -2,7 +2,7 @@
 //! torn WAL tails, corrupted tables and manifests, repeated
 //! kill-and-reopen cycles checked against an in-memory oracle.
 
-use iotkv::{Db, Error, Options, SyncMode};
+use iotkv::{Db, Error, Options, SyncMode, WriteBatch};
 use std::collections::BTreeMap;
 use std::fs;
 use std::path::PathBuf;
@@ -120,6 +120,86 @@ fn corrupted_table_detected_on_read() {
         }
         Err(e) => panic!("unexpected error kind: {e}"),
     }
+    drop(db);
+    fs::remove_dir_all(dir).ok();
+}
+
+fn table_files(dir: &std::path::Path) -> Vec<PathBuf> {
+    let mut tables: Vec<PathBuf> = fs::read_dir(dir)
+        .unwrap()
+        .flatten()
+        .map(|e| e.path())
+        .filter(|p| p.extension().map(|e| e == "sst").unwrap_or(false))
+        .collect();
+    tables.sort();
+    tables
+}
+
+#[test]
+fn compaction_verifies_every_input_block() {
+    const TABLES: usize = 5;
+    let dir = tmpdir("compactcrc");
+    {
+        // Overlapping L0 tables, one flush each, compaction held off.
+        let held = Options {
+            memtable_bytes: 1 << 20,
+            l0_compaction_trigger: 64,
+            l0_stall_trigger: 64,
+            ..opts()
+        };
+        let db = Db::open(&dir, held).unwrap();
+        for _ in 0..TABLES {
+            for i in 0..100 {
+                db.put(format!("key-{i:05}").as_bytes(), &[7u8; 64])
+                    .unwrap();
+            }
+            db.flush().unwrap();
+        }
+        assert_eq!(db.stats().level_shape[0], TABLES);
+    }
+    let before = table_files(&dir);
+    // Flip one byte inside the first value of one table. The block still
+    // decodes, so only its CRC can tell.
+    let victim = &before[TABLES / 2];
+    let mut data = fs::read(victim).unwrap();
+    let value_at = data
+        .windows(64)
+        .position(|w| w.iter().all(|&b| b == 7))
+        .expect("a value in the first data block");
+    data[value_at + 32] ^= 0x01;
+    fs::write(victim, &data).unwrap();
+
+    // At the usual trigger L0 is due, and its one job merges every table.
+    let db = Db::open(&dir, opts()).unwrap();
+    match db.compact() {
+        Err(Error::Corruption(_)) => {}
+        other => panic!("compaction must refuse a corrupt input, got {other:?}"),
+    }
+    let shape = db.stats().level_shape;
+    assert_eq!(shape[0], TABLES, "no input retired");
+    assert!(shape[1..].iter().all(|&n| n == 0), "no output installed");
+    drop(db);
+    let after = table_files(&dir);
+    for table in &before {
+        assert!(after.contains(table), "{} was deleted", table.display());
+    }
+    fs::remove_dir_all(dir).ok();
+}
+
+#[test]
+fn default_write_batch_survives_reopen() {
+    let dir = tmpdir("defaultbatch");
+    {
+        let db = Db::open(&dir, opts()).unwrap();
+        let mut batch = WriteBatch::default();
+        batch.put(b"key", b"value");
+        db.write(batch).unwrap();
+        let mut cleared = WriteBatch::default();
+        cleared.clear();
+        assert!(cleared.is_empty());
+    }
+    let db = Db::open(&dir, opts()).unwrap();
+    assert_eq!(db.get(b"key").unwrap().unwrap().as_ref(), b"value");
     drop(db);
     fs::remove_dir_all(dir).ok();
 }
