@@ -593,12 +593,6 @@ impl GatewaySut {
         }
     }
 
-    /// Wraps an already-shared cluster — the networked controller hands
-    /// the same handle to the socket server and the benchmark protocol.
-    pub fn from_shared(cluster: Arc<parking_lot::RwLock<gateway::Cluster>>) -> GatewaySut {
-        GatewaySut { cluster }
-    }
-
     /// The shared cluster handle (e.g. to start a
     /// [`gateway::GatewayServer`] over it).
     pub fn shared(&self) -> Arc<parking_lot::RwLock<gateway::Cluster>> {

@@ -829,18 +829,6 @@ impl Cluster {
         }
     }
 
-    /// Deletes `key` from every replica.
-    pub fn delete(&self, key: &[u8]) -> Result<()> {
-        let replicas = {
-            let map = self.regions.read();
-            map.lookup(key).replicas.clone()
-        };
-        for &node in &replicas {
-            self.node(node).db.delete(key)?;
-        }
-        Ok(())
-    }
-
     /// Flushes every node's storage engine to disk.
     pub fn flush_all(&self) -> Result<()> {
         let nodes: Vec<Arc<Node>> = self.nodes.read().iter().map(Arc::clone).collect();

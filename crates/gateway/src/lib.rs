@@ -17,9 +17,8 @@
 //! * [`Cluster::purge`] implements the benchmark's *system cleanup* step:
 //!   all ingested data is dropped and the storage engines restart.
 //!
-//! [`GatewayKvStore`] adapts the cluster to the YCSB database interface so
-//! both the classic core workloads and the TPCx-IoT driver run against it
-//! unchanged.
+//! [`store_adapter`] makes the cluster a `ycsb::KvStore`, the ordered byte
+//! store the classic YCSB core workloads run against.
 
 pub mod cluster;
 pub mod fault;
@@ -34,7 +33,6 @@ pub use fault::{
 };
 pub use region::{Region, RegionMap};
 pub use server::GatewayServer;
-pub use store_adapter::GatewayKvStore;
 
 /// Errors surfaced by the cluster.
 #[derive(Clone, Debug)]

@@ -53,7 +53,8 @@ use crate::iter::{MergeIterator, Source, VisibleIter};
 use crate::memtable::{InternalKey, MemTable};
 use crate::sstable::Table;
 use crate::version::{
-    load_manifest, save_manifest, table_path, wal_path, FileMeta, ManifestState, Version,
+    load_manifest, numbered_files, save_manifest, table_path, wal_path, FileKind, FileMeta,
+    ManifestState, Version,
 };
 use crate::wal::{LogReader, LogWriter};
 use crate::{Error, Options, Result, SeqNo, SyncMode};
@@ -333,17 +334,9 @@ impl DbInner {
     }
 
     fn delete_stale_wals(&self, log_number: u64) {
-        if let Ok(entries) = std::fs::read_dir(&self.dir) {
-            for entry in entries.flatten() {
-                let name = entry.file_name();
-                let name = name.to_string_lossy();
-                if let Some(stem) = name.strip_suffix(".wal") {
-                    if let Ok(id) = stem.parse::<u64>() {
-                        if id < log_number {
-                            std::fs::remove_file(entry.path()).ok();
-                        }
-                    }
-                }
+        for (kind, id) in numbered_files(&self.dir) {
+            if kind == FileKind::Wal && id < log_number {
+                std::fs::remove_file(wal_path(&self.dir, id)).ok();
             }
         }
     }
@@ -501,18 +494,9 @@ impl Db {
         };
 
         // Never reuse a file id present on disk (e.g. manifest lost).
-        if let Ok(entries) = std::fs::read_dir(&dir) {
-            for entry in entries.flatten() {
-                let name = entry.file_name();
-                let name = name.to_string_lossy();
-                for suffix in [".sst", ".wal"] {
-                    if let Some(stem) = name.strip_suffix(suffix) {
-                        if let Ok(id) = stem.parse::<u64>() {
-                            next_file_id = next_file_id.max(id + 1);
-                        }
-                    }
-                }
-            }
+        let files: Vec<(FileKind, u64)> = numbered_files(&dir).collect();
+        for &(_, id) in &files {
+            next_file_id = next_file_id.max(id + 1);
         }
 
         let mut tables = HashMap::new();
@@ -525,20 +509,11 @@ impl Db {
 
         // Replay WAL tails (ids >= log_number) in id order.
         let mem = Arc::new(MemTable::new());
-        let mut wal_ids: Vec<u64> = Vec::new();
-        if let Ok(entries) = std::fs::read_dir(&dir) {
-            for entry in entries.flatten() {
-                let name = entry.file_name();
-                let name = name.to_string_lossy();
-                if let Some(stem) = name.strip_suffix(".wal") {
-                    if let Ok(id) = stem.parse::<u64>() {
-                        if id >= log_number {
-                            wal_ids.push(id);
-                        }
-                    }
-                }
-            }
-        }
+        let mut wal_ids: Vec<u64> = files
+            .into_iter()
+            .filter(|&(kind, id)| kind == FileKind::Wal && id >= log_number)
+            .map(|(_, id)| id)
+            .collect();
         wal_ids.sort_unstable();
         for id in &wal_ids {
             let mut reader = LogReader::open(&wal_path(&dir, *id))?;
@@ -838,29 +813,6 @@ impl Db {
     /// The directory this database lives in.
     pub fn path(&self) -> &Path {
         &self.inner.dir
-    }
-
-    /// Number of live user keys is not tracked; this returns the count of
-    /// versioned entries across all tables plus memtables (an upper bound).
-    pub fn approximate_entries(&self) -> u64 {
-        let mem_entries = self.inner.mem.read().len() as u64;
-        let imm_entries: u64 = self
-            .inner
-            .imm
-            .lock()
-            .iter()
-            .map(|f| f.mem.len() as u64)
-            .sum();
-        let table_entries: u64 = {
-            let vset = self.inner.vset.lock();
-            vset.version
-                .levels
-                .iter()
-                .flatten()
-                .map(|f| f.entry_count)
-                .sum()
-        };
-        mem_entries + imm_entries + table_entries
     }
 }
 

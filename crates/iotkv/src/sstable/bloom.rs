@@ -42,10 +42,6 @@ impl BloomBuilder {
         self.hashes.push(fnv1a(key));
     }
 
-    pub fn key_count(&self) -> usize {
-        self.hashes.len()
-    }
-
     /// Serialises the filter: bit array followed by a trailing byte holding
     /// the probe count `k`.
     pub fn finish(&self) -> Vec<u8> {

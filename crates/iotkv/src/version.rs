@@ -133,6 +133,30 @@ pub fn wal_path(dir: &Path, id: u64) -> PathBuf {
     dir.join(format!("{id:06}.wal"))
 }
 
+/// What a numbered file in a database directory holds.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum FileKind {
+    Table,
+    Wal,
+}
+
+/// The `<id>.sst` and `<id>.wal` files in `dir`, in directory order. A
+/// directory or entry that cannot be read lists nothing: every caller
+/// treats a file it cannot see as absent.
+pub(crate) fn numbered_files(dir: &Path) -> impl Iterator<Item = (FileKind, u64)> {
+    // Result<ReadDir> -> ReadDir -> Result<DirEntry> -> DirEntry.
+    let entries = fs::read_dir(dir).into_iter().flatten().flatten();
+    entries.filter_map(|entry| {
+        let name = entry.file_name();
+        let name = name.to_str()?;
+        let (kind, stem) = match name.strip_suffix(".sst") {
+            Some(stem) => (FileKind::Table, stem),
+            None => (FileKind::Wal, name.strip_suffix(".wal")?),
+        };
+        Some((kind, stem.parse().ok()?))
+    })
+}
+
 pub fn manifest_path(dir: &Path) -> PathBuf {
     dir.join("MANIFEST")
 }
@@ -364,5 +388,22 @@ mod tests {
         let dir = Path::new("/data");
         assert_eq!(table_path(dir, 7), Path::new("/data/000007.sst"));
         assert_eq!(wal_path(dir, 123456), Path::new("/data/123456.wal"));
+
+        // A listing parses those names back and skips every other file.
+        let dir = tmpdir("listing");
+        for name in [
+            "000003.sst",
+            "000007.wal",
+            "MANIFEST",
+            "x.wal",
+            "000009.tmp",
+        ] {
+            fs::write(dir.join(name), b"").unwrap();
+        }
+        let mut files: Vec<_> = numbered_files(&dir).collect();
+        files.sort_unstable_by_key(|&(_, id)| id);
+        assert_eq!(files, [(FileKind::Table, 3), (FileKind::Wal, 7)]);
+        assert_eq!(numbered_files(&dir.join("missing")).count(), 0);
+        fs::remove_dir_all(dir).ok();
     }
 }

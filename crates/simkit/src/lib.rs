@@ -112,11 +112,6 @@ impl<S> Sim<S> {
         self.executed
     }
 
-    /// Number of events currently pending.
-    pub fn events_pending(&self) -> usize {
-        self.heap.len()
-    }
-
     /// Schedules `f` to run at absolute virtual time `at`.
     ///
     /// # Panics

@@ -11,7 +11,7 @@
 use crate::msg::Message;
 use crate::{WireError, MAX_FRAME_LEN, WIRE_VERSION};
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::net::TcpStream;
 use std::time::Duration;
 
 /// A framed, timeout-guarded connection.
@@ -45,10 +45,6 @@ impl FrameConn {
     pub fn connect(addr: &str, read_timeout: Duration) -> Result<FrameConn, WireError> {
         let stream = TcpStream::connect(addr)?;
         FrameConn::new(stream, read_timeout)
-    }
-
-    pub fn peer_addr(&self) -> Result<SocketAddr, WireError> {
-        Ok(self.stream.peer_addr()?)
     }
 
     /// Adjusts the read timeout mid-connection (e.g. the controller

@@ -246,7 +246,6 @@ impl Generator for LatestGenerator {
 pub struct DiscreteGenerator<T: Clone + Send> {
     values: Vec<(f64, T)>,
     total: f64,
-    last_index: usize,
 }
 
 impl<T: Clone + Send> DiscreteGenerator<T> {
@@ -257,25 +256,18 @@ impl<T: Clone + Send> DiscreteGenerator<T> {
         DiscreteGenerator {
             values: weighted,
             total,
-            last_index: 0,
         }
     }
 
     pub fn next_choice(&mut self, rng: &mut Stream) -> T {
         let mut target = rng.next_f64() * self.total;
-        for (i, (w, v)) in self.values.iter().enumerate() {
+        for (w, v) in &self.values {
             if target < *w {
-                self.last_index = i;
                 return v.clone();
             }
             target -= w;
         }
-        self.last_index = self.values.len() - 1;
-        self.values[self.last_index].1.clone()
-    }
-
-    pub fn last_choice(&self) -> T {
-        self.values[self.last_index].1.clone()
+        self.values[self.values.len() - 1].1.clone()
     }
 }
 
@@ -396,7 +388,6 @@ mod tests {
         assert!((frac("read") - 0.7).abs() < 0.02);
         assert!((frac("update") - 0.2).abs() < 0.02);
         assert!((frac("scan") - 0.1).abs() < 0.02);
-        assert_eq!(g.last_choice(), g.last_choice());
     }
 
     #[test]

@@ -9,8 +9,9 @@
 //! * [`generator`] — the request-distribution generators workloads A–F
 //!   draw from (uniform, zipfian, scrambled zipfian, latest, counter,
 //!   discrete),
-//! * [`store`] — the database interface layer ([`store::KvStore`]): the
-//!   five YCSB operations against any backend,
+//! * [`store`] — the database interface layer: a backend implements the
+//!   ordered byte store [`store::KvStore`], and YCSB's row operations
+//!   (insert, read, update, scan) are written once on top of it,
 //! * [`workload`] — the classic core workload (generates `user###` records
 //!   with `fieldN` columns and mixes reads/updates/inserts/scans/RMW per
 //!   configured proportions; presets A–F),
@@ -18,8 +19,11 @@
 //! * [`runner`] — a multi-threaded closed-loop client with an optional
 //!   target throughput.
 //!
-//! The TPCx-IoT driver in the `tpcx-iot` crate plugs its sensor workload
-//! into these same abstractions.
+//! The TPCx-IoT driver in the `tpcx-iot` crate uses neither the runner
+//! nor the store: it drives the gateway through its own `GatewayBackend`
+//! trait, and only its `run_driver` entry point still copies latencies
+//! into a [`Measurements`] sink. `examples/ycsb_core.rs` runs workloads
+//! A–F against the gateway cluster.
 
 pub mod generator;
 pub mod measurement;

@@ -13,17 +13,15 @@ pub enum OpKind {
     Insert,
     Scan,
     ReadModifyWrite,
-    Delete,
 }
 
 impl OpKind {
-    pub const ALL: [OpKind; 6] = [
+    pub const ALL: [OpKind; 5] = [
         OpKind::Read,
         OpKind::Update,
         OpKind::Insert,
         OpKind::Scan,
         OpKind::ReadModifyWrite,
-        OpKind::Delete,
     ];
 
     fn index(self) -> usize {
@@ -33,7 +31,6 @@ impl OpKind {
             OpKind::Insert => 2,
             OpKind::Scan => 3,
             OpKind::ReadModifyWrite => 4,
-            OpKind::Delete => 5,
         }
     }
 
@@ -44,7 +41,6 @@ impl OpKind {
             OpKind::Insert => "INSERT",
             OpKind::Scan => "SCAN",
             OpKind::ReadModifyWrite => "RMW",
-            OpKind::Delete => "DELETE",
         }
     }
 }
@@ -58,7 +54,7 @@ struct Slot {
 
 /// Thread-safe measurement sink shared by all client threads.
 pub struct Measurements {
-    slots: [Mutex<Slot>; 6],
+    slots: [Mutex<Slot>; OpKind::ALL.len()],
     started: Instant,
 }
 

@@ -312,7 +312,7 @@ impl CoreWorkload {
         let ok = match op {
             OpKind::Read => {
                 let key = self.build_key(self.next_keynum(rng));
-                store.read(&self.config.table, &key, None).is_ok()
+                store.read(&self.config.table, &key).is_ok()
             }
             OpKind::Update => {
                 let key = self.build_key(self.next_keynum(rng));
@@ -339,16 +339,15 @@ impl CoreWorkload {
                 // Stream the scan: YCSB only iterates the result set, so
                 // there is no reason to materialize it first.
                 store
-                    .scan_visit(&self.config.table, &key, len, None, &mut |_, _| true)
+                    .scan(&self.config.table, &key, len, &mut |_, _| true)
                     .is_ok()
             }
             OpKind::ReadModifyWrite => {
                 let key = self.build_key(self.next_keynum(rng));
-                let read_ok = store.read(&self.config.table, &key, None).is_ok();
+                let read_ok = store.read(&self.config.table, &key).is_ok();
                 let values = self.build_one_field(rng);
                 read_ok && store.update(&self.config.table, &key, &values).is_ok()
             }
-            OpKind::Delete => unreachable!("core workload never issues deletes"),
         };
         (op, ok)
     }

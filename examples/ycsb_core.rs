@@ -1,12 +1,12 @@
 //! Classic YCSB core workloads A–F against the in-process gateway
-//! cluster — TPCx-IoT is a YCSB extension, and the same database
-//! interface layer serves both.
+//! cluster, through YCSB's database interface layer (`ycsb::KvStore`).
+//! Exits nonzero if any load or run operation fails.
 //!
 //! ```sh
 //! cargo run --release --example ycsb_core [records] [operations]
 //! ```
 
-use gateway::{Cluster, ClusterConfig, GatewayKvStore};
+use gateway::{Cluster, ClusterConfig};
 use std::sync::Arc;
 use ycsb::runner::{RunConfig, Runner};
 use ycsb::workload::{CoreWorkload, WorkloadConfig};
@@ -30,6 +30,7 @@ fn main() {
         ("F (read-modify-write)", WorkloadConfig::preset_f()),
     ];
 
+    let mut failures = 0;
     for (name, mut preset) in presets {
         let data_dir =
             std::env::temp_dir().join(format!("ycsb-core-{}-{name:.1}", std::process::id()));
@@ -39,8 +40,7 @@ fn main() {
             memtable_bytes: 4 << 20,
             ..iotkv::Options::default()
         };
-        let cluster = Arc::new(Cluster::start(cluster_config).expect("cluster starts"));
-        let store = Arc::new(GatewayKvStore::new(cluster));
+        let store = Arc::new(Cluster::start(cluster_config).expect("cluster starts"));
 
         preset.record_count = records;
         preset.field_count = 4;
@@ -66,6 +66,11 @@ fn main() {
         );
         print!("{}", runner.measurements.report());
         println!();
+        failures += load.failures + run.failures;
         std::fs::remove_dir_all(&data_dir).ok();
+    }
+    if failures > 0 {
+        eprintln!("{failures} YCSB operations failed");
+        std::process::exit(1);
     }
 }

@@ -66,6 +66,9 @@ if [[ "${1:-}" != "quick" ]]; then
     # correctness gates fails here, not in the next measurement.
     cargo test --release --offline -q --manifest-path benchmarks/Cargo.toml
 
+    echo "== YCSB core workloads A-F on the gateway cluster (smoke, gates on 0 failed ops) =="
+    cargo run --release -q --example ycsb_core -- 200 400
+
     echo "== race-check models (loom-lite) =="
     cargo clippy -p simkit -p tpcx-iot --features race-check --all-targets -- -D warnings
     cargo test -q -p simkit --features race-check
